@@ -22,9 +22,11 @@ from .involutions import (
     Involution,
     bottom_element,
     clan_count,
+    element_of_word,
     fpf_count,
     involution_count,
     maximal_clans,
+    one_line_word,
     rank_clan,
     rank_fpf,
     rank_involution,
@@ -39,6 +41,9 @@ from .matchings import (
     SignedMatching,
     clan_of,
     crossings,
+    downward_covers_clan,
+    downward_covers_fpf,
+    downward_covers_involution,
     fpf_of,
     involution_of,
     matching_length,
@@ -57,7 +62,9 @@ from .posets import (
     GradedReport,
     LabeledChain,
     WeakOrderPoset,
+    build_lower_interval,
     build_poset,
+    count_chains_below,
     count_maximal_chains,
     drop_cover_types,
     lower_interval,
@@ -96,15 +103,21 @@ __all__ = [
     "WSet",
     "WeakOrderPoset",
     "bottom_element",
+    "build_lower_interval",
     "build_poset",
     "chain_count_identity",
     "check_conditions_involution",
     "check_conditions_matching",
     "clan_count",
     "clan_of",
+    "count_chains_below",
     "count_maximal_chains",
     "crossings",
+    "downward_covers_clan",
+    "downward_covers_fpf",
+    "downward_covers_involution",
     "drop_cover_types",
+    "element_of_word",
     "fpf_count",
     "fpf_of",
     "involution_count",
@@ -115,6 +128,7 @@ __all__ = [
     "maximal_chains",
     "maximal_clans",
     "nestings",
+    "one_line_word",
     "rank_clan",
     "rank_fpf",
     "rank_involution",

@@ -4,7 +4,7 @@ Subcommands:
 
 - ``wset``: print the W-set of an element, one permutation per line or JSON;
 - ``chains``: enumerate (or just count) the labeled maximal chains from the
-  bottom element up to a given element;
+  bottom element up to a given element, exploring only that interval;
 - ``hasse``: print a whole poset as DOT (default) or JSON;
 - ``verify``: rebuild every poset up to a size cap, check gradedness, and
   check that the direct W-set of every element agrees with the chain oracle;
@@ -39,7 +39,9 @@ from .posets import (
     FAMILIES,
     Element,
     WeakOrderPoset,
+    build_lower_interval,
     build_poset,
+    count_chains_below,
     count_maximal_chains,
     maximal_chains,
     verify_graded,
@@ -151,15 +153,17 @@ def export_dot(P: WeakOrderPoset) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _params_json(family: str, param: "int | tuple[int, int]") -> dict[str, int]:
+    if family == "clan":
+        return {"p": param[0], "q": param[1]}
+    return {"n": param}
+
+
 def export_json(P: WeakOrderPoset) -> str:
     """JSON dump of the poset: elements with ids and ranks, labeled edges."""
-    if P.family == "clan":
-        params: dict[str, int] = {"p": P.param[0], "q": P.param[1]}
-    else:
-        params = {"n": P.param}
     payload = {
         "family": P.family,
-        "params": params,
+        "params": _params_json(P.family, P.param),
         "elements": [
             {"id": j, "text": e.text(), "rank": P.ranks[j]}
             for j, e in enumerate(P.elements)
@@ -183,10 +187,6 @@ def _rank_of(family: str, x: Element) -> int:
     if family == "fpf":
         return rank_fpf(x)
     return rank_clan(x)
-
-
-def _param_of(family: str, x: Element) -> "int | tuple[int, int]":
-    return (x.p, x.q) if family == "clan" else x.n
 
 
 def _element_from_args(args: argparse.Namespace) -> Element:
@@ -239,11 +239,11 @@ def _cmd_wset(args: argparse.Namespace) -> int:
 
 def _cmd_chains(args: argparse.Namespace) -> int:
     x = _element_from_args(args)
-    P = build_poset(args.family, _param_of(args.family, x))
     if args.count:
-        total = count_maximal_chains(P, x)
+        total = count_chains_below(args.family, x)
         print(json.dumps({"element": x.text(), "count": total}) if args.json else total)
         return 0
+    P = build_lower_interval(args.family, x)
     if args.json:
         payload = {
             "element": x.text(),
@@ -290,7 +290,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 for total in range(2, cap + 1)
                 for p in range(1, total)
             ]
+    if not jobs:
+        raise ValueError(f"--family {args.family} --n {args.n} leaves nothing to verify")
     failures: list[str] = []
+    results = []
     for fam, param in jobs:
         P = build_poset(fam, param)
         report = verify_graded(P)
@@ -302,13 +305,26 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 agree += 1
             else:
                 failures.append(f"{_describe(fam, param)}: W-set mismatch at {x.text()}")
-        status = "ok" if report.ok and agree == len(P.elements) else "FAIL"
-        print(
-            f"{_describe(fam, param)}: {len(P.elements)} elements, "
-            f"{len(P.edges)} edges, {agree}/{len(P.elements)} W-sets agree [{status}]"
-        )
-    for line in failures:
-        print(f"verification failure: {line}", file=sys.stderr)
+        ok = report.ok and agree == len(P.elements)
+        results.append({
+            "family": fam,
+            "params": _params_json(fam, param),
+            "elements": len(P.elements),
+            "edges": len(P.edges),
+            "agree": agree,
+            "ok": ok,
+        })
+        if not args.json:
+            print(
+                f"{_describe(fam, param)}: {len(P.elements)} elements, "
+                f"{len(P.edges)} edges, {agree}/{len(P.elements)} W-sets agree "
+                f"[{'ok' if ok else 'FAIL'}]"
+            )
+    if args.json:
+        print(json.dumps({"jobs": results, "failures": failures}, indent=2))
+    else:
+        for line in failures:
+            print(f"verification failure: {line}", file=sys.stderr)
     return 1 if failures else 0
 
 
@@ -356,6 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--family", choices=["inv", "involution", "fpf", "clan", "all"], default="all"
     )
     sp.add_argument("--n", type=int, help="size cap (p+q for clans)")
+    sp.add_argument("--json", action="store_true")
     sp.set_defaults(handler=_cmd_verify)
 
     sp = sub.add_parser("rank", help="print the rank of an element")

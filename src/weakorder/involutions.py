@@ -36,6 +36,8 @@ __all__ = [
     "rs_step_involution",
     "rs_step_fpf",
     "rs_word_action",
+    "one_line_word",
+    "element_of_word",
     "bottom_involution",
     "bottom_fpf",
     "bottom_clan",
@@ -264,13 +266,38 @@ def _step_map(i: int, m: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(out)
     if a == i + 1 or a > b:
         return m
-    # conjugate by s_i: swap the entries at i, i+1 and rename the values
+    return _conjugate(i, m)
+
+
+# The inverse step: detach the strand {i, i+1} (only where fixed points are
+# allowed), conjugate by s_i at a descent, otherwise no move.
+def _step_down_map(i: int, m: tuple[int, ...], detach: bool) -> tuple[int, ...]:
+    a, b = m[i - 1], m[i]
+    if a == i + 1:
+        if not detach:
+            return m
+        out = list(m)
+        out[i - 1], out[i] = i, i + 1
+        return tuple(out)
+    if a < b:
+        return m
+    return _conjugate(i, m)
+
+
+def _conjugate(i: int, m: tuple[int, ...]) -> tuple[int, ...]:
+    """s_i m s_i, for (i, i+1) not a strand.
+
+    A fixed point may carry a clan sign as a negative entry -v; it moves
+    across with its sign.
+    """
+    a, b = m[i - 1], m[i]
     out = list(m)
-    out[i - 1] = i if b == i + 1 else b
-    out[i] = i + 1 if a == i else a
-    if a != i:
+    # swap the entries at i, i+1 and rename the values i <-> i+1
+    out[i - 1] = b if abs(b) != i + 1 else (i if b > 0 else -i)
+    out[i] = a if abs(a) != i else (i + 1 if a > 0 else -i - 1)
+    if abs(a) != i:
         out[a - 1] = i + 1
-    if b != i + 1:
+    if abs(b) != i + 1:
         out[b - 1] = i
     return tuple(out)
 
@@ -282,8 +309,36 @@ def _involution_from_map(m: tuple[int, ...], family: type) -> Involution:
     return family(n, cycles, fixed)
 
 
-def _as_map(pi: Involution) -> tuple[int, ...]:
-    return pi.as_permutation().word
+def one_line_word(x: "Involution | Clan") -> tuple[int, ...]:
+    """The one-line word of x, entry i being x(i); a clan carries its signs in
+    the word, a minus-signed fixed point v reading -v.
+
+    >>> one_line_word(Clan.from_parts(4, [(1, 3)], {2: 1, 4: -1}))
+    (3, 2, 1, -4)
+    """
+    word = list(range(1, x.n + 1))
+    for a, b in x.cycles:
+        word[a - 1], word[b - 1] = b, a
+    if isinstance(x, Clan):
+        for v, s in x.signed_fixed_points:
+            word[v - 1] = s * v
+    return tuple(word)
+
+
+def element_of_word(family: str, m: tuple[int, ...]) -> "Involution | Clan":
+    """Inverse of ``one_line_word`` for the named family: involution | fpf | clan."""
+    if family == "involution":
+        return _involution_from_map(m, Involution)
+    if family == "fpf":
+        return _involution_from_map(m, FpfInvolution)
+    if family == "clan":
+        n = len(m)
+        cycles = tuple((i, m[i - 1]) for i in range(1, n + 1) if m[i - 1] > i)
+        signed = tuple(
+            (i, 1 if m[i - 1] > 0 else -1) for i in range(1, n + 1) if abs(m[i - 1]) == i
+        )
+        return Clan(n, cycles, signed)
+    raise ValueError(f"unknown family {family!r}")
 
 
 def rs_step_involution(i: int, pi: Involution) -> Involution:
@@ -294,7 +349,7 @@ def rs_step_involution(i: int, pi: Involution) -> Involution:
     """
     if not 1 <= i <= pi.n - 1:
         raise ValueError(f"step index {i} out of range 1..{pi.n - 1}")
-    return _involution_from_map(_step_map(i, _as_map(pi)), Involution)
+    return _involution_from_map(_step_map(i, one_line_word(pi)), Involution)
 
 
 def rs_step_fpf(i: int, pi: FpfInvolution) -> FpfInvolution:
@@ -305,7 +360,7 @@ def rs_step_fpf(i: int, pi: FpfInvolution) -> FpfInvolution:
     """
     if not 1 <= i <= pi.n - 1:
         raise ValueError(f"step index {i} out of range 1..{pi.n - 1}")
-    return _involution_from_map(_step_map(i, _as_map(pi)), FpfInvolution)
+    return _involution_from_map(_step_map(i, one_line_word(pi)), FpfInvolution)
 
 
 def rs_word_action(w: Permutation, pi: Involution) -> Involution:
@@ -321,7 +376,7 @@ def rs_word_action(w: Permutation, pi: Involution) -> Involution:
     if w.n != pi.n:
         raise ValueError(f"size mismatch: {w.n} vs {pi.n}")
     family = FpfInvolution if isinstance(pi, FpfInvolution) else Involution
-    m = _as_map(pi)
+    m = one_line_word(pi)
     for i in reversed(some_reduced_word(w)):
         m = _step_map(i, m)
     return _involution_from_map(m, family)
@@ -361,12 +416,10 @@ def bottom_clan(p: int, q: int) -> Clan:
 
 def bottom_element(family: str, param: "int | tuple[int, int]"):
     """Dispatch to the bottom of the named family: involution | fpf | clan."""
-    if family == "involution":
-        assert isinstance(param, int)
-        return bottom_involution(param)
-    if family == "fpf":
-        assert isinstance(param, int)
-        return bottom_fpf(param)
+    if family in ("involution", "fpf"):
+        if not isinstance(param, int):
+            raise ValueError(f"family {family!r} takes an integer n, got {param!r}")
+        return bottom_involution(param) if family == "involution" else bottom_fpf(param)
     if family == "clan":
         p, q = param  # type: ignore[misc]
         return bottom_clan(p, q)

@@ -31,6 +31,9 @@ from .involutions import (
     Clan,
     FpfInvolution,
     Involution,
+    _conjugate,
+    _step_down_map,
+    one_line_word,
     rs_step_fpf,
     rs_step_involution,
 )
@@ -50,6 +53,9 @@ __all__ = [
     "upward_covers_involution",
     "upward_covers_fpf",
     "upward_covers_clan",
+    "downward_covers_involution",
+    "downward_covers_fpf",
+    "downward_covers_clan",
 ]
 
 
@@ -148,23 +154,17 @@ def matching_length(m: Matching) -> int:
     return sum(b - a for a, b in m.strands) - crossings(m)
 
 
-def _cover_type(m: Matching | SignedMatching, i: int) -> CoverType:
-    """Classify the move at (i, i+1) from the lower element's local picture."""
-    ends: dict[int, tuple[int, int]] = {}
-    for a, b in m.strands:
-        ends[a] = (a, b)
-        ends[b] = (a, b)
-    si, sj = ends.get(i), ends.get(i + 1)
-    if si is None and sj is None:
+def _cover_type(w: tuple[int, ...], i: int) -> CoverType:
+    """Classify the move at (i, i+1) from the lower element's one-line word."""
+    a, b = w[i - 1], w[i]
+    fixed_i, fixed_j = abs(a) == i, abs(b) == i + 1
+    if a == i + 1 or (fixed_i and fixed_j):
         return CoverType.II
-    if si is not None and si == sj:
-        return CoverType.II
-    if si is None:
-        return CoverType.IA2 if sj[0] == i + 1 else CoverType.IA1
-    if sj is None:
-        return CoverType.IA1 if si[1] == i else CoverType.IA2
-    i_left = si[0] == i
-    j_left = sj[0] == i + 1
+    if fixed_i:
+        return CoverType.IA2 if b > i + 1 else CoverType.IA1
+    if fixed_j:
+        return CoverType.IA1 if a < i else CoverType.IA2
+    i_left, j_left = a > i, b > i + 1
     if i_left and j_left:
         return CoverType.IC1
     if not i_left and not j_left:
@@ -179,23 +179,28 @@ def upward_covers_involution(m: Matching) -> list[tuple[int, Matching, CoverType
     upper matching (the caller merges those into one Hasse edge).
     """
     pi = involution_of(m)
+    w = one_line_word(pi)
     out = []
     for i in range(1, m.n):
         tau = rs_step_involution(i, pi)
         if tau != pi:
-            out.append((i, matching_of(tau), _cover_type(m, i)))
+            out.append((i, matching_of(tau), _cover_type(w, i)))
     return out
 
 
 def upward_covers_fpf(m: Matching) -> list[tuple[int, Matching, CoverType]]:
     """Covers in the fixed-point-free order; only types IB, IC1, IC2 occur."""
     pi = fpf_of(m)
+    w = one_line_word(pi)
     out = []
     for i in range(1, m.n):
         tau = rs_step_fpf(i, pi)
         if tau != pi:
-            kind = _cover_type(m, i)
-            assert kind in (CoverType.IB, CoverType.IC1, CoverType.IC2), kind
+            kind = _cover_type(w, i)
+            if kind not in (CoverType.IB, CoverType.IC1, CoverType.IC2):
+                raise RuntimeError(
+                    f"fixed-point-free cover of {pi.text()} along {i} has type {kind}"
+                )
             out.append((i, matching_of(tau.as_involution()), kind))
     return out
 
@@ -250,6 +255,53 @@ def upward_covers_clan(m: SignedMatching) -> list[tuple[int, SignedMatching, Cov
             elif b1 == i and b2 == j and a2 < a1:
                 # nested {a2, i+1} over {a1, i}: cross to {a2, i}, {a1, i+1}
                 out.append((i, build(others + [(a2, i), (a1, j)], rest), CoverType.IC2))
+    return out
+
+
+# The down-covers act on one-line words (see ``one_line_word``) and return
+# (label, lower word) pairs, at most one per label.
+
+
+def downward_covers_involution(w: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """Inverse of ``upward_covers_involution``: detach the strand {i, i+1},
+    or conjugate by s_i at a descent.
+
+    >>> downward_covers_involution((4, 3, 2, 1))
+    [(1, (3, 4, 1, 2)), (2, (4, 2, 3, 1)), (3, (3, 4, 1, 2))]
+    """
+    steps = ((i, _step_down_map(i, w, True)) for i in range(1, len(w)))
+    return [(i, v) for i, v in steps if v is not w]
+
+
+def downward_covers_fpf(w: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """Inverse of ``upward_covers_fpf``: conjugate by s_i at a descent that
+    is not the strand {i, i+1}."""
+    steps = ((i, _step_down_map(i, w, False)) for i in range(1, len(w)))
+    return [(i, v) for i, v in steps if v is not w]
+
+
+def downward_covers_clan(w: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """Inverse of ``upward_covers_clan`` on signed words.
+
+    Where i and i+1 are fixed with opposite signs, attach the strand
+    {i, i+1} (inverse of type II).  Where the underlying involution ascends
+    at i, conjugate by s_i, moving a fixed point's sign with it: this undoes
+    the shortening of IA1/IA2, the uncrossing of IB and the crossing of
+    IC1/IC2, the underlying involution rising one rank step in each.
+
+    >>> downward_covers_clan((1, -2, 4, 3))
+    [(1, (2, 1, 4, 3)), (2, (1, 4, -3, 2))]
+    """
+    out = []
+    for i in range(1, len(w)):
+        a, b = w[i - 1], w[i]
+        if abs(a) == i and abs(b) == i + 1:
+            if a * b < 0:
+                lower = list(w)
+                lower[i - 1], lower[i] = i + 1, i
+                out.append((i, tuple(lower)))
+        elif abs(a) < abs(b):
+            out.append((i, _conjugate(i, w)))
     return out
 
 

@@ -11,6 +11,10 @@ labels i realizing the cover, with the per-label cover types kept parallel.
 A maximal chain resolves every step to a single label, so a multi-label edge
 widens the set of chains without widening the Hasse diagram.
 
+A single lower interval [bottom, x] can also be built on its own, by
+closure downward from x under the down-covers (``build_lower_interval``,
+``count_chains_below``), without building the rest of the family poset.
+
 Ranks are recorded at build time as breadth-first depth; ``verify_graded``
 cross-checks them against the closed-form rank of every element, which is
 itself a statement worth testing rather than an implementation detail.
@@ -33,15 +37,21 @@ from .involutions import (
     Involution,
     bottom_element,
     clan_count,
+    element_of_word,
     fpf_count,
     involution_count,
+    one_line_word,
     rank_clan,
     rank_fpf,
     rank_involution,
 )
 from .matchings import (
     CoverType,
+    _cover_type,
     clan_of,
+    downward_covers_clan,
+    downward_covers_fpf,
+    downward_covers_involution,
     fpf_of,
     involution_of,
     matching_of,
@@ -59,6 +69,8 @@ __all__ = [
     "GradedReport",
     "FAMILIES",
     "build_poset",
+    "build_lower_interval",
+    "count_chains_below",
     "lower_interval",
     "maximal_chains",
     "count_maximal_chains",
@@ -80,6 +92,13 @@ def _covers(family: str, x: Element) -> list[tuple[int, Element, CoverType]]:
         return [(i, fpf_of(m2), t) for i, m2, t in upward_covers_fpf(m)]
     sm = signed_matching_of(x)
     return [(i, clan_of(sm2), t) for i, sm2, t in upward_covers_clan(sm)]
+
+
+_DOWN_COVERS = {
+    "involution": downward_covers_involution,
+    "fpf": downward_covers_fpf,
+    "clan": downward_covers_clan,
+}
 
 
 def _rank(family: str, x: Element) -> int:
@@ -253,6 +272,105 @@ def lower_interval(P: WeakOrderPoset, x: Element) -> WeakOrderPoset:
         if e.lo in keep and e.hi in keep
     )
     return WeakOrderPoset(P.family, P.param, elements, ranks, edges, complete=False)
+
+
+def _down_closure(
+    family: str, x: Element
+) -> dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]]:
+    """Breadth-first closure of x's one-line word under down-covers.
+
+    Maps every word of [bottom, x] to its (label, lower word) down-covers,
+    in breadth-first order from x; the orders are graded, so every word
+    comes before its down-covers and the reversed order runs bottom first.
+    Raises RuntimeError if a word other than the family bottom has no
+    down-cover.
+    """
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    down = _DOWN_COVERS[family]
+    base = bottom_element(family, _param_of(family, x))
+    if type(x) is not type(base):
+        raise ValueError(
+            f"family {family!r} needs a {type(base).__name__}, got {type(x).__name__}"
+        )
+    bottom = one_line_word(base)
+    top = one_line_word(x)
+    covers = {top: down(top)}
+    frontier = [top]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            if not covers[w] and w != bottom:
+                raise RuntimeError(
+                    f"{element_of_word(family, w).text()} has no down-cover "
+                    f"but is not the {family} bottom"
+                )
+            for _, v in covers[w]:
+                if v not in covers:
+                    covers[v] = down(v)
+                    nxt.append(v)
+        frontier = nxt
+    return covers
+
+
+def _param_of(family: str, x: Element) -> "int | tuple[int, int]":
+    return (x.p, x.q) if family == "clan" else x.n
+
+
+def count_chains_below(family: str, x: Element) -> int:
+    """Chain count of [bottom, x], exploring only that interval.
+
+    Equals ``count_maximal_chains(build_poset(family, ...), x)``: a dynamic
+    program over the down-covers, each (label, lower word) pair one step.
+
+    >>> count_chains_below("involution", Involution.from_cycles(4, [(1, 4), (2, 3)]))
+    8
+    """
+    covers = _down_closure(family, x)
+    counts: dict[tuple[int, ...], int] = {}
+    for w in reversed(covers):
+        below = covers[w]
+        counts[w] = sum(counts[v] for _, v in below) if below else 1
+    return counts[one_line_word(x)]
+
+
+def build_lower_interval(family: str, x: Element) -> WeakOrderPoset:
+    """The interval [bottom, x] built by downward closure from x.
+
+    Equal to ``lower_interval(build_poset(family, ...), x)``, elements,
+    ranks and edges alike, without building the rest of the family poset.
+
+    >>> x = FpfInvolution.from_cycles(6, [(1, 3), (2, 4), (5, 6)])
+    >>> [e.text() for e in build_lower_interval("fpf", x).elements]
+    ['(1,2)(3,4)(5,6)', '(1,3)(2,4)(5,6)']
+    """
+    covers = _down_closure(family, x)
+    rank: dict[tuple[int, ...], int] = {}
+    for w in reversed(covers):
+        below = covers[w]
+        rank[w] = rank[below[0][1]] + 1 if below else 0
+    element = {w: element_of_word(family, w) for w in covers}
+    order = sorted(covers, key=lambda w: (rank[w], element[w].text()))
+    index = {w: j for j, w in enumerate(order)}
+    edge_labels: dict[tuple[int, int], list[int]] = {}
+    for w in order:
+        for i, v in covers[w]:
+            edge_labels.setdefault((index[v], index[w]), []).append(i)
+    edges = []
+    for (lo, hi), labels in sorted(edge_labels.items()):
+        labels.sort()
+        lower = order[lo]
+        edges.append(
+            Edge(lo, hi, tuple(labels), tuple(_cover_type(lower, i) for i in labels))
+        )
+    return WeakOrderPoset(
+        family,
+        _param_of(family, x),
+        tuple(element[w] for w in order),
+        tuple(rank[w] for w in order),
+        tuple(edges),
+        complete=False,
+    )
 
 
 def maximal_chains(P: WeakOrderPoset, x: Element) -> Iterator[LabeledChain]:

@@ -406,7 +406,8 @@ def wset_oracle(P: WeakOrderPoset, x: Element) -> WSet:
     members = _chain_products(P)[j]
     rank = P.ranks[j]
     for w in members:
-        assert length(w) == rank, f"chain product {w} misses rank {rank}"
+        if length(w) != rank:
+            raise RuntimeError(f"chain product {w} of {x.text()} misses rank {rank}")
     return _collect(x, rank, members)
 
 

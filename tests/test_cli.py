@@ -248,6 +248,46 @@ class TestRunVerify:
         assert "fpf n=2" in out
         assert "clan (p,q)=(1,2)" in out
 
+    @pytest.mark.parametrize("argv", [["--n", "0"], ["--family", "fpf", "--n", "1"]])
+    def test_nothing_to_verify_exits_2(self, capsys, argv) -> None:
+        assert run(["verify"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.rstrip().endswith("nothing to verify")
+
+    def test_json(self, capsys) -> None:
+        assert run(["verify", "--n", "3"]) == 0
+        text = capsys.readouterr().out.splitlines()
+        assert run(["verify", "--n", "3", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["failures"] == []
+        assert len(data["jobs"]) == len(text)
+        assert data["jobs"][0] == {
+            "family": "involution",
+            "params": {"n": 1},
+            "elements": 1,
+            "edges": 0,
+            "agree": 1,
+            "ok": True,
+        }
+        assert data["jobs"][-1]["params"] == {"p": 2, "q": 1}
+        for job, line in zip(data["jobs"], text):
+            assert f"{job['elements']} elements, {job['edges']} edges" in line
+            assert line.endswith("[ok]") == job["ok"]
+
+    def test_json_reports_failures(self, capsys, monkeypatch) -> None:
+        import weakorder.cli
+        from weakorder import WSet
+
+        monkeypatch.setattr(weakorder.cli, "wset_oracle", lambda P, x: WSet(x, 0, ()))
+        assert run(["verify", "--family", "fpf", "--n", "4", "--json"]) == 1
+        captured = capsys.readouterr()
+        data = json.loads(captured.out)
+        assert [job["ok"] for job in data["jobs"]] == [False, False]
+        assert data["failures"][0] == "fpf n=2: W-set mismatch at (1,2)"
+        assert len(data["failures"]) == 1 + 3
+
 
 class TestArgumentErrors:
     def test_missing_subcommand(self, capsys) -> None:

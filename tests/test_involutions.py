@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 
@@ -12,6 +17,7 @@ from conftest import (
     brute_involutions,
     involution_strategy,
 )
+import weakorder
 from weakorder import (
     Clan,
     FpfInvolution,
@@ -229,3 +235,26 @@ class TestBottoms:
     def test_bottom_element_rejects_unknown_family(self) -> None:
         with pytest.raises(ValueError):
             bottom_element("signed", 4)
+
+    def test_bottom_element_rejects_non_integer_n(self) -> None:
+        with pytest.raises(ValueError, match="integer n"):
+            bottom_element("fpf", (2, 2))
+        with pytest.raises(ValueError, match="integer n"):
+            bottom_element("involution", "4")
+
+    def test_check_survives_python_O(self) -> None:
+        # asserts are stripped under -O; the check must be a real raise
+        code = (
+            "from weakorder import bottom_element\n"
+            "try:\n"
+            "    bottom_element('fpf', (2, 2))\n"
+            "except ValueError:\n"
+            "    print('raised')\n"
+        )
+        src = str(Path(weakorder.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.stdout == "raised\n", done.stderr

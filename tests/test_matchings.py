@@ -26,7 +26,7 @@ from weakorder import (
     upward_covers_fpf,
     upward_covers_involution,
 )
-from weakorder.involutions import Involution
+from weakorder.involutions import Involution, bottom_fpf
 
 
 class TestRoundTrips:
@@ -121,6 +121,13 @@ class TestCoversFpf:
         for pi in brute_fpf(6):
             for _, _, t in upward_covers_fpf(matching_of(pi.as_involution())):
                 assert t in (CoverType.IB, CoverType.IC1, CoverType.IC2)
+
+    def test_foreign_cover_type_raises(self, monkeypatch) -> None:
+        import weakorder.matchings
+
+        monkeypatch.setattr(weakorder.matchings, "_cover_type", lambda w, i: CoverType.II)
+        with pytest.raises(RuntimeError, match="has type II"):
+            upward_covers_fpf(matching_of(bottom_fpf(4).as_involution()))
 
     def test_each_cover_raises_rank_by_one(self) -> None:
         for pi in brute_fpf(6):

@@ -215,6 +215,14 @@ class TestOracleAgreement:
                 assert ok
                 assert chains >= len(wset_direct(family, x).members)
 
+    def test_oracle_rank_check_raises(self, monkeypatch) -> None:
+        import weakorder.wsets
+
+        P = build_poset("involution", 3)
+        monkeypatch.setattr(weakorder.wsets, "length", lambda w: -1)
+        with pytest.raises(RuntimeError, match="misses rank"):
+            wset_oracle(P, P.elements[-1])
+
     def test_dispatch(self) -> None:
         pi = inv(4, (1, 2))
         assert wset_direct("involution", pi) == wset_involution(pi)
