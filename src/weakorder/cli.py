@@ -26,19 +26,13 @@ import json
 import re
 import sys
 
-from .involutions import (
-    Clan,
-    FpfInvolution,
-    Involution,
-    rank_clan,
-    rank_fpf,
-    rank_involution,
-)
+from .involutions import Clan, FpfInvolution, Involution
 from .matchings import CoverType
 from .posets import (
     FAMILIES,
     Element,
     WeakOrderPoset,
+    _family,
     build_lower_interval,
     build_poset,
     count_chains_below,
@@ -181,14 +175,6 @@ def export_json(P: WeakOrderPoset) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _rank_of(family: str, x: Element) -> int:
-    if family == "involution":
-        return rank_involution(x)
-    if family == "fpf":
-        return rank_fpf(x)
-    return rank_clan(x)
-
-
 def _element_from_args(args: argparse.Namespace) -> Element:
     if args.family != "clan" and (args.p is not None or args.q is not None):
         raise ValueError("--p/--q only apply to clans")
@@ -265,7 +251,7 @@ def _cmd_hasse(args: argparse.Namespace) -> int:
 
 def _cmd_rank(args: argparse.Namespace) -> int:
     x = _element_from_args(args)
-    r = _rank_of(args.family, x)
+    r = _family(args.family).rank(x)
     if args.json:
         print(json.dumps({"element": x.text(), "rank": r}))
     else:
@@ -384,11 +370,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first ``run`` and reused: building it costs about as much as
+# answering a small request
+_PARSER: "argparse.ArgumentParser | None" = None
+
+
 def run(argv: "list[str] | None" = None) -> int:
     """Parse argv and run one subcommand; returns the exit code."""
-    parser = _build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as ex:
         return int(ex.code or 0)
     if args.family == "inv":

@@ -6,8 +6,8 @@ an involution whose fixed points each carry a sign (+1 or -1); the signature
 (p, q) is read off as p = #{+} + #cycles and q = #{-} + #cycles.
 
 The weak order on each of the three families is generated by the monoid step
-``rs_step_involution`` / ``rs_step_fpf`` (for clans the covers are produced
-directly from local matching surgeries, see the matchings module).  Each step
+``rs_step_involution`` / ``rs_step_fpf`` (for clans by the detach and
+conjugation moves on signed words, see the matchings module).  Each step
 either fixes the element or raises its rank by exactly 1.
 
 >>> pi = standard_form(Permutation((3, 4, 1, 2)))
@@ -421,8 +421,13 @@ def bottom_element(family: str, param: "int | tuple[int, int]"):
             raise ValueError(f"family {family!r} takes an integer n, got {param!r}")
         return bottom_involution(param) if family == "involution" else bottom_fpf(param)
     if family == "clan":
-        p, q = param  # type: ignore[misc]
-        return bottom_clan(p, q)
+        if not (
+            isinstance(param, (tuple, list))
+            and len(param) == 2
+            and all(isinstance(v, int) for v in param)
+        ):
+            raise ValueError(f"family 'clan' takes an integer pair (p, q), got {param!r}")
+        return bottom_clan(*param)
     raise ValueError(f"unknown family {family!r}")
 
 

@@ -1,4 +1,4 @@
-"""Partial matchings on {1, ..., n} and the local cover moves.
+"""Partial matchings on {1, ..., n} and the cover moves of the three orders.
 
 A matching is the diagram of an involution: each two-cycle becomes a strand
 {a, b} drawn above the number line, each fixed point an isolated vertex.
@@ -6,16 +6,26 @@ Two strands {a, b} and {c, d} with a < c cross when a < c < b < d and nest
 when a < c < d < b.  The rank of the corresponding involution equals the
 total strand length minus the number of crossings.
 
-Upward covers in the three weak orders are local surgeries at two adjacent
-vertices i, i+1:
+The covers are computed on one-line words (``one_line_word``; a clan's
+minus-signed fixed point v reads -v), one move per label i:
 
-- involutions: lengthen a strand onto an adjacent isolated vertex (IA1/IA2),
-  cross two disjoint adjacent strands (IB), uncross into a nesting (IC1/IC2),
-  or attach a new strand on two isolated vertices (II);
-- fixed-point-free involutions: only IB/IC apply;
-- clans: the opposite surgeries (shorten, uncross to disjoint, nest to
-  crossing), and type II detaches a strand {i, i+1} into a (+,-) or (-,+)
-  signed pair, two covers under the same label.
+- involutions: the monoid step at i, that is attach the strand {i, i+1} on
+  two fixed points or conjugate by s_i at any other ascent; fixed-point-free
+  involutions take the same step, where only conjugation can occur;
+- clans: detach the strand {i, i+1} into the signed fixed points (+,-) and
+  (-,+), two covers under one label, or conjugate by s_i where the
+  underlying involution descends at i, a fixed point carrying its sign;
+- the down-covers of each order undo these moves.
+
+On the matching, each move is a local surgery at the vertices i, i+1, and
+``_cover_type`` names it from the lower word: lengthen a strand onto an
+adjacent isolated vertex (IA1/IA2), cross two disjoint adjacent strands
+(IB), uncross into a nesting (IC1/IC2), or attach a strand on two
+isolated vertices (II).  Fixed-point-free covers are of types IB/IC
+only; clan covers are the opposite surgeries (shorten, uncross to disjoint,
+nest to crossing, detach), as the clan order runs against the involution
+order.  ``upward_covers_*`` present the up-covers on ``Matching`` and
+``SignedMatching`` objects.
 
 Cover types are metadata: poset structure never depends on them, but they
 drive edge styling in DOT output and the IC-deletion experiments.
@@ -33,9 +43,9 @@ from .involutions import (
     Involution,
     _conjugate,
     _step_down_map,
+    _step_map,
+    element_of_word,
     one_line_word,
-    rs_step_fpf,
-    rs_step_involution,
 )
 
 __all__ = [
@@ -172,37 +182,67 @@ def _cover_type(w: tuple[int, ...], i: int) -> CoverType:
     return CoverType.IB
 
 
+# On one-line words, the up-covers return (label, upper word) pairs and the
+# down-covers (label, lower word) pairs, at most one per label except for a
+# clan detach, which gives both sign orders under the same label.
+
+
+def _up_involution(w: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """The monoid step at every i that moves w."""
+    steps = ((i, _step_map(i, w)) for i in range(1, len(w)))
+    return [(i, v) for i, v in steps if v is not w]
+
+
+def _up_fpf(w: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """The monoid step without fixed points: only types IB, IC1, IC2 occur."""
+    out = _up_involution(w)
+    for i, _ in out:
+        kind = _cover_type(w, i)
+        if kind not in (CoverType.IB, CoverType.IC1, CoverType.IC2):
+            raise RuntimeError(
+                f"fixed-point-free cover of {element_of_word('fpf', w).text()} "
+                f"along {i} has type {kind}"
+            )
+    return out
+
+
+def _up_clan(w: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """Detach the strand {i, i+1} into (+,-) then (-,+), or conjugate by s_i
+    where the underlying involution descends at i (a sign moving with its
+    fixed point); the mirror of ``downward_covers_clan``."""
+    out = []
+    for i in range(1, len(w)):
+        a, b = w[i - 1], w[i]
+        if a == i + 1:
+            for lo in (1, -1):
+                upper = list(w)
+                upper[i - 1], upper[i] = lo * i, -lo * (i + 1)
+                out.append((i, tuple(upper)))
+        elif abs(a) > abs(b):
+            out.append((i, _conjugate(i, w)))
+    return out
+
+
 def upward_covers_involution(m: Matching) -> list[tuple[int, Matching, CoverType]]:
     """All covers of m in the weak order on involutions, as (label, upper, type).
 
     Generated through the monoid step; several labels may reach the same
     upper matching (the caller merges those into one Hasse edge).
     """
-    pi = involution_of(m)
-    w = one_line_word(pi)
-    out = []
-    for i in range(1, m.n):
-        tau = rs_step_involution(i, pi)
-        if tau != pi:
-            out.append((i, matching_of(tau), _cover_type(w, i)))
-    return out
+    w = one_line_word(involution_of(m))
+    return [
+        (i, matching_of(element_of_word("involution", v)), _cover_type(w, i))
+        for i, v in _up_involution(w)
+    ]
 
 
 def upward_covers_fpf(m: Matching) -> list[tuple[int, Matching, CoverType]]:
     """Covers in the fixed-point-free order; only types IB, IC1, IC2 occur."""
-    pi = fpf_of(m)
-    w = one_line_word(pi)
-    out = []
-    for i in range(1, m.n):
-        tau = rs_step_fpf(i, pi)
-        if tau != pi:
-            kind = _cover_type(w, i)
-            if kind not in (CoverType.IB, CoverType.IC1, CoverType.IC2):
-                raise RuntimeError(
-                    f"fixed-point-free cover of {pi.text()} along {i} has type {kind}"
-                )
-            out.append((i, matching_of(tau.as_involution()), kind))
-    return out
+    w = one_line_word(fpf_of(m))
+    return [
+        (i, matching_of(element_of_word("involution", v)), _cover_type(w, i))
+        for i, v in _up_fpf(w)
+    ]
 
 
 def upward_covers_clan(m: SignedMatching) -> list[tuple[int, SignedMatching, CoverType]]:
@@ -212,54 +252,11 @@ def upward_covers_clan(m: SignedMatching) -> list[tuple[int, SignedMatching, Cov
     clan rank p*q - rank rises by exactly 1.  A type II move on the strand
     {i, i+1} yields two covers under the same label, one per sign order.
     """
-    n = m.n
-    ends: dict[int, tuple[int, int]] = {}
-    for a, b in m.strands:
-        ends[a] = (a, b)
-        ends[b] = (a, b)
-    signs = dict(m.signed_isolated)
-    out: list[tuple[int, SignedMatching, CoverType]] = []
-
-    def build(strands: list[tuple[int, int]], signed: list[tuple[int, int]]) -> SignedMatching:
-        st = tuple(sorted(tuple(sorted(ab)) for ab in strands))
-        return SignedMatching(n, st, tuple(sorted(signed)))
-
-    for i in range(1, n):
-        j = i + 1
-        si, sj = ends.get(i), ends.get(j)
-        others = [ab for ab in m.strands if ab not in (si, sj)]
-        rest = [(v, s) for v, s in m.signed_isolated if v not in (i, j)]
-        if si is not None and si == sj:
-            # detach {i, i+1} into two signed vertices, both sign orders
-            for lo in (1, -1):
-                out.append((i, build(others, rest + [(i, lo), (j, -lo)]), CoverType.II))
-        elif si is None and sj is not None and sj[1] == j and sj[0] < i:
-            # strand {a, i+1} with the sign at i; shorten to {a, i}
-            out.append(
-                (i, build(others + [(sj[0], i)], rest + [(j, signs[i])]), CoverType.IA1)
-            )
-        elif sj is None and si is not None and si[0] == i and si[1] > j:
-            # strand {i, b} with the sign at i+1; shorten to {i+1, b}
-            out.append(
-                (i, build(others + [(j, si[1])], rest + [(i, signs[j])]), CoverType.IA2)
-            )
-        elif si is not None and sj is not None and si != sj:
-            a1, b1 = si
-            a2, b2 = sj
-            if a1 == i and b2 == j and a2 < i:
-                # crossing {a2, i+1}, {i, b1}: uncross to disjoint {a2, i}, {i+1, b1}
-                out.append((i, build(others + [(a2, i), (j, b1)], rest), CoverType.IB))
-            elif a1 == i and a2 == j and b2 < b1:
-                # nested {i, b1} over {i+1, b2}: cross to {i, b2}, {i+1, b1}
-                out.append((i, build(others + [(i, b2), (j, b1)], rest), CoverType.IC1))
-            elif b1 == i and b2 == j and a2 < a1:
-                # nested {a2, i+1} over {a1, i}: cross to {a2, i}, {a1, i+1}
-                out.append((i, build(others + [(a2, i), (a1, j)], rest), CoverType.IC2))
-    return out
-
-
-# The down-covers act on one-line words (see ``one_line_word``) and return
-# (label, lower word) pairs, at most one per label.
+    w = one_line_word(clan_of(m))
+    return [
+        (i, signed_matching_of(element_of_word("clan", v)), _cover_type(w, i))
+        for i, v in _up_clan(w)
+    ]
 
 
 def downward_covers_involution(w: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:

@@ -1,10 +1,15 @@
 """Weak order posets as explicit labeled Hasse diagrams.
 
-Each family's poset is built once, by breadth-first closure from the bottom
-element under the family's cover moves.  Elements are deduplicated and sorted
-by (rank, text), so indices are stable and rank-monotone: every edge points
-from a lower index to a strictly higher one, and dynamic programs can sweep
-the element list in order.
+Each family's poset is built once, by breadth-first closure of the bottom
+element's one-line word under the family's up-covers (see the matchings
+module); each word is decoded into an element only once the closure is
+done.  Elements are sorted by (rank, text), so indices are stable and
+rank-monotone: every edge points from a lower index to a strictly higher
+one, and dynamic programs can sweep the element list in order.
+
+What differs between the three families (element type, cover moves, rank,
+closed-form count, size parameter) sits in one private table, ``_FAMILY``,
+keyed by the names in ``FAMILIES``.
 
 Edges are merged per element pair: an edge carries the sorted tuple of all
 labels i realizing the cover, with the per-label cover types kept parallel.
@@ -12,8 +17,9 @@ A maximal chain resolves every step to a single label, so a multi-label edge
 widens the set of chains without widening the Hasse diagram.
 
 A single lower interval [bottom, x] can also be built on its own, by
-closure downward from x under the down-covers (``build_lower_interval``,
-``count_chains_below``), without building the rest of the family poset.
+closure downward from x's word under the down-covers
+(``build_lower_interval``, ``count_chains_below``), without building the
+rest of the family poset.
 
 Ranks are recorded at build time as breadth-first depth; ``verify_graded``
 cross-checks them against the closed-form rank of every element, which is
@@ -29,7 +35,7 @@ itself a statement worth testing rather than an implementation detail.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .involutions import (
     Clan,
@@ -48,17 +54,12 @@ from .involutions import (
 from .matchings import (
     CoverType,
     _cover_type,
-    clan_of,
+    _up_clan,
+    _up_fpf,
+    _up_involution,
     downward_covers_clan,
     downward_covers_fpf,
     downward_covers_involution,
-    fpf_of,
-    involution_of,
-    matching_of,
-    signed_matching_of,
-    upward_covers_clan,
-    upward_covers_fpf,
-    upward_covers_involution,
 )
 
 __all__ = [
@@ -79,43 +80,54 @@ __all__ = [
 ]
 
 Element = Union[Involution, FpfInvolution, Clan]
-
-FAMILIES = ("involution", "fpf", "clan")
-
-
-def _covers(family: str, x: Element) -> list[tuple[int, Element, CoverType]]:
-    if family == "involution":
-        m = matching_of(x)
-        return [(i, involution_of(m2), t) for i, m2, t in upward_covers_involution(m)]
-    if family == "fpf":
-        m = matching_of(x)
-        return [(i, fpf_of(m2), t) for i, m2, t in upward_covers_fpf(m)]
-    sm = signed_matching_of(x)
-    return [(i, clan_of(sm2), t) for i, sm2, t in upward_covers_clan(sm)]
+Word = tuple[int, ...]
 
 
-_DOWN_COVERS = {
-    "involution": downward_covers_involution,
-    "fpf": downward_covers_fpf,
-    "clan": downward_covers_clan,
+@dataclass(frozen=True)
+class _Family:
+    """What the rest of the package needs to know about one weak order."""
+
+    element: type
+    up: Callable[[Word], list[tuple[int, Word]]]
+    down: Callable[[Word], list[tuple[int, Word]]]
+    rank: Callable[[Element], int]
+    count: Callable[[int | tuple[int, int]], int]
+    param_of: Callable[[Element], int | tuple[int, int]]
+
+
+_FAMILY = {
+    "involution": _Family(
+        Involution, _up_involution, downward_covers_involution,
+        rank_involution, involution_count, lambda x: x.n,
+    ),
+    "fpf": _Family(
+        FpfInvolution, _up_fpf, downward_covers_fpf,
+        rank_fpf, fpf_count, lambda x: x.n,
+    ),
+    "clan": _Family(
+        Clan, _up_clan, downward_covers_clan,
+        rank_clan, lambda pq: clan_count(*pq), lambda x: (x.p, x.q),
+    ),
 }
 
-
-def _rank(family: str, x: Element) -> int:
-    if family == "involution":
-        return rank_involution(x)
-    if family == "fpf":
-        return rank_fpf(x)
-    return rank_clan(x)
+FAMILIES = tuple(_FAMILY)
 
 
-def _family_count(family: str, param: "int | tuple[int, int]") -> int:
-    if family == "involution":
-        return involution_count(param)
-    if family == "fpf":
-        return fpf_count(param)
-    p, q = param
-    return clan_count(p, q)
+def _family(name: str) -> _Family:
+    try:
+        return _FAMILY[name]
+    except KeyError:
+        raise ValueError(f"unknown family {name!r}; expected one of {FAMILIES}") from None
+
+
+def _family_of(name: str, x: Element) -> _Family:
+    """The named family, after checking that x is exactly its element type."""
+    fam = _family(name)
+    if type(x) is not fam.element:
+        raise ValueError(
+            f"family {name!r} needs a {fam.element.__name__}, got {type(x).__name__}"
+        )
+    return fam
 
 
 @dataclass(frozen=True)
@@ -210,40 +222,62 @@ class WeakOrderPoset:
 
 
 def build_poset(family: str, param: "int | tuple[int, int]") -> WeakOrderPoset:
-    """Breadth-first closure from the bottom element under upward covers.
+    """Breadth-first closure of the bottom element's word under up-covers.
 
     >>> build_poset("fpf", 6).maximal_elements()[0].text()
     '(1,6)(2,5)(3,4)'
     >>> len(build_poset("clan", (2, 2)).maximal_elements())
     6
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    bottom = bottom_element(family, param)
-    depth: dict[Element, int] = {bottom: 0}
-    edge_labels: dict[tuple[Element, Element], dict[int, CoverType]] = {}
-    frontier: list[Element] = [bottom]
-    d = 0
+    up = _family(family).up
+    bottom = one_line_word(bottom_element(family, param))
+    depth = {bottom: 0}
+    covers: dict[Word, list[tuple[int, Word]]] = {}
+    frontier = [bottom]
     while frontier:
-        d += 1
-        nxt: list[Element] = []
-        for x in frontier:
-            for i, y, kind in _covers(family, x):
-                edge_labels.setdefault((x, y), {})[i] = kind
-                if y not in depth:
-                    depth[y] = d
-                    nxt.append(y)
+        nxt = []
+        for w in frontier:
+            covers[w] = up(w)
+            for _, v in covers[w]:
+                if v not in depth:
+                    depth[v] = depth[w] + 1
+                    nxt.append(v)
         frontier = nxt
-    elements = tuple(sorted(depth, key=lambda e: (depth[e], e.text())))
-    index = {e: j for j, e in enumerate(elements)}
-    ranks = tuple(depth[e] for e in elements)
+    links = ((w, i, v) for w, got in covers.items() for i, v in got)
+    return _assemble(family, param, depth, links, complete=True)
+
+
+def _assemble(
+    family: str,
+    param: int | tuple[int, int],
+    rank: dict[Word, int],
+    links: Iterable[tuple[Word, int, Word]],
+    complete: bool,
+) -> WeakOrderPoset:
+    """The poset on the words of ``rank`` with one cover per (lower, label,
+    upper) link: each word decoded once, elements sorted by (rank, text),
+    the labels of one element pair merged into one edge."""
+    element = {w: element_of_word(family, w) for w in rank}
+    order = sorted(rank, key=lambda w: (rank[w], element[w].text()))
+    index = {w: j for j, w in enumerate(order)}
+    edge_labels: dict[tuple[int, int], list[int]] = {}
+    for lower, i, upper in links:
+        edge_labels.setdefault((index[lower], index[upper]), []).append(i)
     edges = []
-    for (x, y), found in edge_labels.items():
-        labels = tuple(sorted(found))
-        types = tuple(found[i] for i in labels)
-        edges.append(Edge(index[x], index[y], labels, types))
-    edges.sort(key=lambda e: (e.lo, e.hi))
-    return WeakOrderPoset(family, param, elements, ranks, tuple(edges), complete=True)
+    for (lo, hi), labels in sorted(edge_labels.items()):
+        labels.sort()
+        lower = order[lo]
+        edges.append(
+            Edge(lo, hi, tuple(labels), tuple(_cover_type(lower, i) for i in labels))
+        )
+    return WeakOrderPoset(
+        family,
+        param,
+        tuple(element[w] for w in order),
+        tuple(rank[w] for w in order),
+        tuple(edges),
+        complete,
+    )
 
 
 def _down_set(P: WeakOrderPoset, target: int) -> set[int]:
@@ -274,9 +308,7 @@ def lower_interval(P: WeakOrderPoset, x: Element) -> WeakOrderPoset:
     return WeakOrderPoset(P.family, P.param, elements, ranks, edges, complete=False)
 
 
-def _down_closure(
-    family: str, x: Element
-) -> dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]]:
+def _down_closure(family: str, x: Element) -> dict[Word, list[tuple[int, Word]]]:
     """Breadth-first closure of x's one-line word under down-covers.
 
     Maps every word of [bottom, x] to its (label, lower word) down-covers,
@@ -285,15 +317,9 @@ def _down_closure(
     Raises RuntimeError if a word other than the family bottom has no
     down-cover.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    down = _DOWN_COVERS[family]
-    base = bottom_element(family, _param_of(family, x))
-    if type(x) is not type(base):
-        raise ValueError(
-            f"family {family!r} needs a {type(base).__name__}, got {type(x).__name__}"
-        )
-    bottom = one_line_word(base)
+    fam = _family_of(family, x)
+    down = fam.down
+    bottom = one_line_word(bottom_element(family, fam.param_of(x)))
     top = one_line_word(x)
     covers = {top: down(top)}
     frontier = [top]
@@ -313,10 +339,6 @@ def _down_closure(
     return covers
 
 
-def _param_of(family: str, x: Element) -> "int | tuple[int, int]":
-    return (x.p, x.q) if family == "clan" else x.n
-
-
 def count_chains_below(family: str, x: Element) -> int:
     """Chain count of [bottom, x], exploring only that interval.
 
@@ -327,7 +349,7 @@ def count_chains_below(family: str, x: Element) -> int:
     8
     """
     covers = _down_closure(family, x)
-    counts: dict[tuple[int, ...], int] = {}
+    counts: dict[Word, int] = {}
     for w in reversed(covers):
         below = covers[w]
         counts[w] = sum(counts[v] for _, v in below) if below else 1
@@ -345,32 +367,12 @@ def build_lower_interval(family: str, x: Element) -> WeakOrderPoset:
     ['(1,2)(3,4)(5,6)', '(1,3)(2,4)(5,6)']
     """
     covers = _down_closure(family, x)
-    rank: dict[tuple[int, ...], int] = {}
+    rank: dict[Word, int] = {}
     for w in reversed(covers):
         below = covers[w]
         rank[w] = rank[below[0][1]] + 1 if below else 0
-    element = {w: element_of_word(family, w) for w in covers}
-    order = sorted(covers, key=lambda w: (rank[w], element[w].text()))
-    index = {w: j for j, w in enumerate(order)}
-    edge_labels: dict[tuple[int, int], list[int]] = {}
-    for w in order:
-        for i, v in covers[w]:
-            edge_labels.setdefault((index[v], index[w]), []).append(i)
-    edges = []
-    for (lo, hi), labels in sorted(edge_labels.items()):
-        labels.sort()
-        lower = order[lo]
-        edges.append(
-            Edge(lo, hi, tuple(labels), tuple(_cover_type(lower, i) for i in labels))
-        )
-    return WeakOrderPoset(
-        family,
-        _param_of(family, x),
-        tuple(element[w] for w in order),
-        tuple(rank[w] for w in order),
-        tuple(edges),
-        complete=False,
-    )
+    links = ((v, i, w) for w, got in covers.items() for i, v in got)
+    return _assemble(family, _family(family).param_of(x), rank, links, complete=False)
 
 
 def maximal_chains(P: WeakOrderPoset, x: Element) -> Iterator[LabeledChain]:
@@ -475,7 +477,7 @@ def verify_graded(P: WeakOrderPoset) -> GradedReport:
     """
     bad: list[str] = []
     for j, e in enumerate(P.elements):
-        want = _rank(P.family, e)
+        want = _family(P.family).rank(e)
         if P.ranks[j] != want:
             bad.append(
                 f"rank of {e.text()}: stored {P.ranks[j]}, formula gives {want}"
@@ -495,7 +497,7 @@ def verify_graded(P: WeakOrderPoset) -> GradedReport:
             f"{P.ranks[minima[0]]}, expected 0"
         )
     if P.complete:
-        want = _family_count(P.family, P.param)
+        want = _family(P.family).count(P.param)
         if len(P.elements) != want:
             bad.append(f"{len(P.elements)} elements, closed form gives {want}")
     return GradedReport(P.family, P.param, len(P.elements), len(P.edges), tuple(bad))

@@ -30,6 +30,7 @@ the test suite certifies that each direct construction agrees with it.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -41,7 +42,7 @@ from .involutions import (
     rank_fpf,
     rank_involution,
 )
-from .matchings import Matching
+from .matchings import Matching, involution_of
 from .permutations import (
     Permutation,
     apply_simple_left,
@@ -49,7 +50,7 @@ from .permutations import (
     identity,
     length,
 )
-from .posets import Element, WeakOrderPoset, count_maximal_chains
+from .posets import Element, WeakOrderPoset, _family_of, count_maximal_chains
 
 __all__ = [
     "WSet",
@@ -153,28 +154,7 @@ def check_conditions_matching(w: Permutation, m: Matching) -> bool:
     """
     if w.n != m.n:
         raise ValueError(f"size mismatch: permutation on {w.n}, matching on {m.n}")
-    pos = {v: s for s, v in enumerate(w.word)}
-    for i, j in m.strands:
-        pi_, pj = pos[i], pos[j]
-        if not pj < pi_:
-            return False
-        for k in range(i + 1, j):
-            if pj < pos[k] < pi_:
-                return False
-    for (i, j), (k, l) in itertools.combinations(m.strands, 2):
-        # sorted strands give i < k; j < l makes the pair non-nesting
-        if j < l and not pos[i] < pos[l]:
-            return False
-    for i, j in itertools.combinations(m.isolated, 2):
-        if not pos[i] < pos[j]:
-            return False
-    for i, j in m.strands:
-        for k in m.isolated:
-            if k < i and not pos[k] < pos[j]:
-                return False
-            if j < k and not pos[i] < pos[k]:
-                return False
-    return True
+    return check_conditions_involution(w, involution_of(m))
 
 
 def wset_involution(pi: Involution) -> WSet:
@@ -353,30 +333,27 @@ def wset_direct(family: str, x: Element) -> WSet:
     different W-sets in different families, so a silent cross-family call
     would return a wrong answer rather than fail.
     """
+    _family_of(family, x)
     if family == "involution":
-        if type(x) is not Involution:
-            raise ValueError(
-                f"family 'involution' needs a plain Involution, got {type(x).__name__}"
-            )
         return wset_involution(x)
     if family == "fpf":
-        if not isinstance(x, FpfInvolution):
-            raise ValueError(f"family 'fpf' needs an FpfInvolution, got {type(x).__name__}")
         return wset_fpf(x)
-    if family == "clan":
-        if not isinstance(x, Clan):
-            raise ValueError(f"family 'clan' needs a Clan, got {type(x).__name__}")
-        return wset_clan(x)
-    raise ValueError(f"unknown family {family!r}")
+    return wset_clan(x)
+
+
+# chain products per poset, dropped together with the poset
+_PRODUCTS: "weakref.WeakKeyDictionary[WeakOrderPoset, list[set[Permutation]]]" = (
+    weakref.WeakKeyDictionary()
+)
 
 
 def _chain_products(P: WeakOrderPoset) -> "list[set[Permutation]]":
-    """Chain products for every element of P at once, cached on the poset.
+    """Chain products for every element of P at once, cached per poset.
 
     One upward sweep in index order (a topological order): the products of
     an element extend those of each lower neighbor by one letter per label.
     """
-    cached = getattr(P, "_wset_oracle_products", None)
+    cached = _PRODUCTS.get(P)
     if cached is not None:
         return cached
     n = P.bottom.n
@@ -392,7 +369,7 @@ def _chain_products(P: WeakOrderPoset) -> "list[set[Permutation]]":
             for i in e.labels:
                 for w in got:
                     target.add(apply_simple_left(i, w))
-    P._wset_oracle_products = products
+    _PRODUCTS[P] = products
     return products
 
 

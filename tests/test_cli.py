@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -217,6 +218,103 @@ class TestRunHasse:
         assert capsys.readouterr().out == first
 
 
+# SHA-256 of `hasse` stdout (DOT, then --json) for every size up to
+# involutions n = 7, fpf n = 8 and clans p+q = 6, recorded before the covers
+# moved to one-line words; any change to elements, order, labels or cover
+# types shows here.
+_HASSE_SHA256 = [
+    (("inv", "--n", "1"),
+     "3031a80702e111e3ec834e5b10a9b3b9431e87de0e9b1f8a094c0daa65f923f0",
+     "6dec6e801ab0b4f57e3bd604a9751f6bcb4f1bdd7dffd9ee49e7e2dca1468584"),
+    (("inv", "--n", "2"),
+     "bad744c1a5253186613ee43e924866608cff241d444e345dec4e0777a858e99a",
+     "8260af3a67b2873b3ee05f46331c9965c2bb066c497ed2c837693b6c6ed36c40"),
+    (("inv", "--n", "3"),
+     "14e048f59eaecfe9ccdf216a46f085f82be062362f41ee3040ad0baf857525d7",
+     "0db0512b50ea1cec38cef1b2092c4d76538cc6cab8cf21b99c46a2ee45c020f8"),
+    (("inv", "--n", "4"),
+     "bf5f110b8bca3968d1a3aa314782a21c824b5a1130ccac389d5f40e7986c5979",
+     "7691422626d84392a45192a6eec2328702cd8ff791224aa6215022f99b171ef5"),
+    (("inv", "--n", "5"),
+     "8dba34d6140c5941da01e4984bd294449318094dd902acbe866e9b59eea4ff3b",
+     "30d1bddbe391f65562142ee09e9cf75cb06c545268d5b39d096f541dc7ce9e01"),
+    (("inv", "--n", "6"),
+     "9cc1e51febccaa4b5f1c0500c522e412c30da5d9cccfc4418c75366fb629ef7b",
+     "a0b8c71a5d348b1e801ac4f5ad660714d577f666c5b71af94c7aa4494925296c"),
+    (("inv", "--n", "7"),
+     "fd2c119f889ea494f5c857f54828bd826802e2684f82f8c11456efdece917154",
+     "9efe05e79a70e5d6ff615c28510b068fe62c0c9c3e8b7a808870b9ae93904d49"),
+    (("fpf", "--n", "2"),
+     "bf4a86a5a3b9453e47b077afc7ce8a1671f7f41cb8fe2be2503467f3ff0ad1b6",
+     "f81de07f43107c9dd98b81722cbbd23e08913ea79564e8223c9ebabb6ab7ba96"),
+    (("fpf", "--n", "4"),
+     "525996baa26c4527a679047f5fe137549d9b814d8bf210cd80f171872bfe8b09",
+     "b578da24c2bb0d349cf6ca90f1e88f53c97cd217d3a13442afcc86e6b886b462"),
+    (("fpf", "--n", "6"),
+     "3a69c38ba7b3d57a52081d7d2e91963ab904ad5872a229d4100e8c38602c3190",
+     "96382f227745858467856065fa3efbf943b560208fdb2af6c07951f6423ca97e"),
+    (("fpf", "--n", "8"),
+     "5f67607250053075a825ff945e4b2a783dbde79c9a9b286f7c54d2c3d1e3d224",
+     "cff7cd74deaff3b3da7000dc522ac720f53f3a4ed6235b1d81eee1c19693b2d9"),
+    (("clan", "--p", "1", "--q", "1"),
+     "f105e517d6b97b3e0c815d8d12aacaf193be680820ae773b246d06d24f0a6e05",
+     "8080a11a4cbf21f2af9daf42a73d6afdd8948e245dcf69d1509f0fec942cac80"),
+    (("clan", "--p", "1", "--q", "2"),
+     "28b095e6d5864c7ec3c9faccfe190e6e382622f8d895831ca6969fe3943a8ffc",
+     "3331ae3a2ca3b32df8061f17a3dade4d18a3a681fdd3268a03ed7e8da783fece"),
+    (("clan", "--p", "2", "--q", "1"),
+     "04e0eac94ad3ce2ff4e35c40309f0da8c9cc3deb05cd949b306982143f436ff7",
+     "f5e3049bd21c6ed3541962c5bd5a5c6cef01e29645bfc26e6d0a6abc3132d823"),
+    (("clan", "--p", "1", "--q", "3"),
+     "f7a959296ef5d021564fb7a7729f486e7b96c12a0b27f79509ca02c0115d20ab",
+     "30cf01c2491677191f22e0f83c87ac98d1977cba843309afe54ea0773f123303"),
+    (("clan", "--p", "2", "--q", "2"),
+     "2690c0c9924705b1f05b132d8a99a623eb1fedf66a31b62b4d13cdef120c3156",
+     "71c912a0dcaa5a589e1fd3f059c29de2b151e983e360aab358ad758328459099"),
+    (("clan", "--p", "3", "--q", "1"),
+     "52cca9b31137badc8d750927c51f97b136ba3ff6e4971ca6d42f1181ca492d3c",
+     "a88a929a5762eef87790a0774895b59b5d6cf54ebe28a522c2638d6070d5b2ba"),
+    (("clan", "--p", "1", "--q", "4"),
+     "a219cffdd977f2bfded7bb6b3e04ddd6c1c46fa49e46fca75487736249694309",
+     "72dfe80d0fd96d3d1209ea28017afb0ea88c586d066afa41a65c89960715ddbe"),
+    (("clan", "--p", "2", "--q", "3"),
+     "af6b39842816f72057cb48d7999715ce2be5a4258bd29a6e690e11e9c2f4eb66",
+     "57ae779603fbdcb2b3d46db1bc20084ee4a2b915c892bb010f4f30796af16010"),
+    (("clan", "--p", "3", "--q", "2"),
+     "f3f0b07602c43d3a00d2d799717e2644f2c19f44c26c5e0c88ac33327ab8091d",
+     "a1423d681c0e9962efc30bec2f809207395627776166667187f2352f2e8a301f"),
+    (("clan", "--p", "4", "--q", "1"),
+     "3f21dbe66142246ab05d0de629bf224acfac4f17c2ea91f485cca0a9771ee707",
+     "960435d8813b6ced178c6a77a3c1c73d952d3af97c0a5291e9e9b386e9a69e74"),
+    (("clan", "--p", "1", "--q", "5"),
+     "4fbd5afc133257fd585cae32b92bae19b0914a2da26aa45b3e955c57c797f8a6",
+     "f2afccabff1d599abca495887ae55af1169ffd1eb1a52d4e7f7a17531a212924"),
+    (("clan", "--p", "2", "--q", "4"),
+     "e1b9949107b967a2e3b64fd71bceb53ca6bbef0a6a853aec9674b96b85261908",
+     "320bbe75e8d79142754e9531b78364a19032c727cdd447a403adc2fc9bda1670"),
+    (("clan", "--p", "3", "--q", "3"),
+     "1e6f1cb3ec614319fb25959294ba98531f0e4b8db552619cd9e469a6b6a8ba7b",
+     "86ecc8b9713a6ca957bcb5776385b0960ab01390864a370fc4a28969f7591a7f"),
+    (("clan", "--p", "4", "--q", "2"),
+     "caf789b8cf74613efa7e17a6f4d90d7a1bfa4a43e089ebb07a79eb02184ab62d",
+     "a616fb27cec7536312e842f8f727efa7c921a62504926137e4990ff955e5cdc2"),
+    (("clan", "--p", "5", "--q", "1"),
+     "4469caf27cfc83297d0e21e87d21c013ac635a3e81aef41b272d4e1a7e8c26f8",
+     "6b3dd5e72c8a8f44665b6cbe3544b7a848cdd2759975f309959cc73ab901f86f"),
+]
+
+
+@pytest.mark.parametrize(
+    ("size", "dot", "js"), _HASSE_SHA256, ids=[" ".join(row[0]) for row in _HASSE_SHA256]
+)
+def test_hasse_output_frozen(capsys, size, dot, js) -> None:
+    argv = ["hasse", "--family", *size]
+    assert run(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == dot
+    assert run(argv + ["--json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == js
+
+
 class TestRunRank:
     def test_involution(self, capsys) -> None:
         assert run(["rank", "--family", "inv", "--n", "5", "--element", "(1,3)(2,5)"]) == 0
@@ -287,6 +385,41 @@ class TestRunVerify:
         assert [job["ok"] for job in data["jobs"]] == [False, False]
         assert data["failures"][0] == "fpf n=2: W-set mismatch at (1,2)"
         assert len(data["failures"]) == 1 + 3
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch) -> None:
+    import weakorder.cli
+
+    argvs = [
+        ["rank", "--family", "inv", "--n", "5", "--element", "(1,3)(2,5)"],
+        ["wset", "--family", "inv", "--n", "3"],
+        ["--help"],
+        ["chains", "--family", "clan", "--element", "(1+)(2-)", "--count"],
+        ["hasse", "--family", "fpf", "--n", "4", "--json"],
+        ["rank", "--family", "magic", "--element", "(1,2)"],
+        ["rank", "--family", "fpf", "--element", "(1,2)(3,4)", "--json"],
+    ]
+    build = weakorder.cli._build_parser
+    built = []
+
+    def counting():
+        built.append(1)
+        return build()
+
+    def outcome(argv, fresh):
+        if fresh:
+            monkeypatch.setattr(weakorder.cli, "_PARSER", None)
+        code = run(list(argv))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    monkeypatch.setattr(weakorder.cli, "_PARSER", None)
+    monkeypatch.setattr(weakorder.cli, "_build_parser", counting)
+    reused = [outcome(argv, fresh=False) for argv in argvs]
+    assert len(built) == 1
+    assert [code for code, _, _ in reused] == [0, 2, 0, 0, 0, 2, 0]
+    # a parser built for each call, as every call once did, answers the same
+    assert reused == [outcome(argv, fresh=True) for argv in argvs]
 
 
 class TestArgumentErrors:

@@ -5,6 +5,7 @@ every acceptance-gate size."""
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
 import io
 import json
@@ -135,7 +136,8 @@ def test_chains_never_builds_the_family_poset(monkeypatch) -> None:
 
 
 def test_closure_rejects_a_stuck_element(monkeypatch) -> None:
-    monkeypatch.setitem(weakorder.posets._DOWN_COVERS, "involution", lambda w: [])
+    stuck = dataclasses.replace(weakorder.posets._FAMILY["involution"], down=lambda w: [])
+    monkeypatch.setitem(weakorder.posets._FAMILY, "involution", stuck)
     with pytest.raises(RuntimeError, match="no down-cover"):
         count_chains_below("involution", Involution.from_cycles(3, [(1, 2)]))
 

@@ -241,6 +241,10 @@ class TestBottoms:
             bottom_element("fpf", (2, 2))
         with pytest.raises(ValueError, match="integer n"):
             bottom_element("involution", "4")
+        with pytest.raises(ValueError, match="integer pair"):
+            bottom_element("clan", 4)
+        with pytest.raises(ValueError, match="integer pair"):
+            bottom_element("clan", (2,))
 
     def test_check_survives_python_O(self) -> None:
         # asserts are stripped under -O; the check must be a real raise

@@ -9,6 +9,7 @@ from weakorder import (
     CoverType,
     Matching,
     bottom_element,
+    build_poset,
     clan_of,
     crossings,
     fpf_of,
@@ -128,6 +129,13 @@ class TestCoversFpf:
         monkeypatch.setattr(weakorder.matchings, "_cover_type", lambda w, i: CoverType.II)
         with pytest.raises(RuntimeError, match="has type II"):
             upward_covers_fpf(matching_of(bottom_fpf(4).as_involution()))
+
+    def test_foreign_cover_type_raises_in_build(self, monkeypatch) -> None:
+        import weakorder.matchings
+
+        monkeypatch.setattr(weakorder.matchings, "_cover_type", lambda w, i: CoverType.II)
+        with pytest.raises(RuntimeError, match=r"\(1,2\)\(3,4\) along 2 has type II"):
+            build_poset("fpf", 4)
 
     def test_each_cover_raises_rank_by_one(self) -> None:
         for pi in brute_fpf(6):

@@ -80,6 +80,38 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_poset("matching", 4)
 
+    @pytest.mark.parametrize(
+        "family,param", [("involution", 5), ("fpf", 6), ("clan", (2, 3))]
+    )
+    def test_build_runs_on_words(self, monkeypatch, family, param) -> None:
+        import weakorder.involutions
+        import weakorder.matchings
+        import weakorder.posets
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_poset left the one-line words")
+
+        for mod, name in [
+            (weakorder.involutions, "rs_step_involution"),
+            (weakorder.involutions, "rs_step_fpf"),
+            (weakorder.matchings, "upward_covers_involution"),
+            (weakorder.matchings, "upward_covers_fpf"),
+            (weakorder.matchings, "upward_covers_clan"),
+            (weakorder.matchings.Matching, "__post_init__"),
+            (weakorder.matchings.SignedMatching, "__post_init__"),
+        ]:
+            monkeypatch.setattr(mod, name, refuse)
+        decoded = []
+        decode = weakorder.posets.element_of_word
+
+        def counting(fam, w):
+            decoded.append(w)
+            return decode(fam, w)
+
+        monkeypatch.setattr(weakorder.posets, "element_of_word", counting)
+        P = build_poset(family, param)
+        assert len(decoded) == len(P) == len(set(decoded))
+
 
 class TestIntervals:
     def test_frozen_interval(self) -> None:
