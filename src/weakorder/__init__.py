@@ -37,19 +37,12 @@ from .involutions import (
 )
 from .matchings import (
     CoverType,
-    Matching,
-    SignedMatching,
-    clan_of,
     crossings,
     downward_covers_clan,
     downward_covers_fpf,
     downward_covers_involution,
-    fpf_of,
-    involution_of,
     matching_length,
-    matching_of,
     nestings,
-    signed_matching_of,
     upward_covers_clan,
     upward_covers_fpf,
     upward_covers_involution,
@@ -75,7 +68,6 @@ from .wsets import (
     WSet,
     chain_count_identity,
     check_conditions_involution,
-    check_conditions_matching,
     wset_clan,
     wset_direct,
     wset_fpf,
@@ -96,10 +88,8 @@ __all__ = [
     "GradedReport",
     "Involution",
     "LabeledChain",
-    "Matching",
     "Permutation",
     "ReducedWord",
-    "SignedMatching",
     "WSet",
     "WeakOrderPoset",
     "bottom_element",
@@ -107,9 +97,7 @@ __all__ = [
     "build_poset",
     "chain_count_identity",
     "check_conditions_involution",
-    "check_conditions_matching",
     "clan_count",
-    "clan_of",
     "count_chains_below",
     "count_maximal_chains",
     "crossings",
@@ -119,12 +107,9 @@ __all__ = [
     "drop_cover_types",
     "element_of_word",
     "fpf_count",
-    "fpf_of",
     "involution_count",
-    "involution_of",
     "lower_interval",
     "matching_length",
-    "matching_of",
     "maximal_chains",
     "maximal_clans",
     "nestings",
@@ -135,7 +120,6 @@ __all__ = [
     "rs_step_fpf",
     "rs_step_involution",
     "rs_word_action",
-    "signed_matching_of",
     "standard_form",
     "upward_covers_clan",
     "upward_covers_fpf",

@@ -22,6 +22,7 @@ arguments.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
@@ -106,13 +107,18 @@ def parse_element(text: str, family: str, n: "int | None" = None) -> Element:
         raise ValueError(f"vertex {bad[0]} out of range 1..{n}")
     if family == "involution":
         return Involution.from_cycles(n, pairs)
+    # seen lies in 1..n, so fewer than n vertices leaves gaps; name at most
+    # ten of them, as the text may be short while n is huge
+    if len(seen) < n:
+        gaps = itertools.islice((v for v in range(1, n + 1) if v not in seen), 10)
+        listed = ", ".join(map(str, gaps)) + (", ..." if n - len(seen) > 10 else "")
+        what = "left as fixed points" if family == "fpf" else "missing"
+        raise ValueError(
+            f"{family} text must mention every vertex of 1..{n}; "
+            f"{n - len(seen)} {what}: {listed}"
+        )
     if family == "fpf":
         return FpfInvolution.from_cycles(n, pairs)
-    missing = [v for v in range(1, n + 1) if v not in seen]
-    if missing:
-        raise ValueError(
-            f"clan text must mention every vertex of 1..{n}; missing {missing}"
-        )
     return Clan.from_parts(n, pairs, signs)
 
 
@@ -259,6 +265,14 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     return 0
 
 
+def _only(mine: tuple, theirs: tuple, side: str) -> str:
+    """How many W-set members only this side has, and up to five of them."""
+    other = set(theirs)
+    only = [w for w in mine if w not in other]
+    shown = " ".join(w.as_text() for w in only[:5]) + (" ..." if len(only) > 5 else "")
+    return f"{len(only)} only {side}" + (f" ({shown})" if only else "")
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     jobs: list[tuple[str, "int | tuple[int, int]"]] = []
     families = FAMILIES if args.family == "all" else (args.family,)
@@ -287,10 +301,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             failures.append(f"{_describe(fam, param)}: {v}")
         agree = 0
         for x in P.elements:
-            if wset_direct(fam, x).members == wset_oracle(P, x).members:
+            direct, oracle = wset_direct(fam, x).members, wset_oracle(P, x).members
+            if direct == oracle:
                 agree += 1
             else:
-                failures.append(f"{_describe(fam, param)}: W-set mismatch at {x.text()}")
+                failures.append(
+                    f"{_describe(fam, param)}: W-set mismatch at {x.text()}: "
+                    f"{_only(direct, oracle, 'direct')}, {_only(oracle, direct, 'oracle')}"
+                )
         ok = report.ok and agree == len(P.elements)
         results.append({
             "family": fam,

@@ -128,13 +128,6 @@ class FpfInvolution(Involution):
         if self.n % 2:
             raise ValueError(f"n must be even for fixed-point-free involutions, got {self.n}")
 
-    @classmethod
-    def from_cycles(
-        cls, n: int, cycles: "tuple[tuple[int, int], ...] | list[tuple[int, int]]"
-    ) -> "FpfInvolution":
-        base = Involution.from_cycles(n, cycles)
-        return cls(n, base.cycles, base.fixed_points)
-
     def as_involution(self) -> Involution:
         """The same element viewed in the poset of all involutions."""
         return Involution(self.n, self.cycles, self.fixed_points)
@@ -153,8 +146,7 @@ class Clan:
     signed_fixed_points: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        base = Involution(self.n, self.cycles, tuple(v for v, _ in self.signed_fixed_points))
-        del base
+        Involution(self.n, self.cycles, tuple(v for v, _ in self.signed_fixed_points))
         for v, s in self.signed_fixed_points:
             if s not in (1, -1):
                 raise ValueError(f"sign at vertex {v} must be +1 or -1, got {s}")

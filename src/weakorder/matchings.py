@@ -1,7 +1,9 @@
-"""Partial matchings on {1, ..., n} and the cover moves of the three orders.
+"""The matching picture of the three families and the cover moves of their orders.
 
-A matching is the diagram of an involution: each two-cycle becomes a strand
-{a, b} drawn above the number line, each fixed point an isolated vertex.
+Drawn as a matching, an involution or a clan turns each two-cycle into a
+strand {a, b} above the number line and each fixed point into an isolated
+vertex, signed for clans.  ``crossings``, ``nestings`` and ``matching_length``
+read the strands off ``x.cycles`` of any element.
 Two strands {a, b} and {c, d} with a < c cross when a < c < b < d and nest
 when a < c < d < b.  The rank of the corresponding involution equals the
 total strand length minus the number of crossings.
@@ -24,8 +26,8 @@ adjacent isolated vertex (IA1/IA2), cross two disjoint adjacent strands
 isolated vertices (II).  Fixed-point-free covers are of types IB/IC
 only; clan covers are the opposite surgeries (shorten, uncross to disjoint,
 nest to crossing, detach), as the clan order runs against the involution
-order.  ``upward_covers_*`` present the up-covers on ``Matching`` and
-``SignedMatching`` objects.
+order.  ``upward_covers_*`` present the up-covers on the family's own
+element type (``Involution``, ``FpfInvolution``, ``Clan``).
 
 Cover types are metadata: poset structure never depends on them, but they
 drive edge styling in DOT output and the IC-deletion experiments.
@@ -34,8 +36,8 @@ drive edge styling in DOT output and the IC-deletion experiments.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from .involutions import (
     Clan,
@@ -50,13 +52,6 @@ from .involutions import (
 
 __all__ = [
     "CoverType",
-    "Matching",
-    "SignedMatching",
-    "matching_of",
-    "involution_of",
-    "fpf_of",
-    "signed_matching_of",
-    "clan_of",
     "crossings",
     "nestings",
     "matching_length",
@@ -81,87 +76,35 @@ class CoverType(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Matching:
-    """Strands sorted as (a, b) with a < b, by a; isolated vertices sorted."""
+def crossings(x: Involution | Clan) -> int:
+    """Pairs of strands (two-cycles) interleaving as a < c < b < d.
 
-    n: int
-    strands: tuple[tuple[int, int], ...]
-    isolated: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        Involution(self.n, self.strands, self.isolated)
-
-    def partner(self, i: int) -> int | None:
-        for a, b in self.strands:
-            if i == a:
-                return b
-            if i == b:
-                return a
-        return None
-
-
-@dataclass(frozen=True)
-class SignedMatching:
-    """A matching whose isolated vertices carry +1/-1 signs."""
-
-    n: int
-    strands: tuple[tuple[int, int], ...]
-    signed_isolated: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        Clan(self.n, self.strands, self.signed_isolated)
-
-
-def matching_of(pi: Involution) -> Matching:
-    return Matching(pi.n, pi.cycles, pi.fixed_points)
-
-
-def involution_of(m: Matching) -> Involution:
-    return Involution(m.n, m.strands, m.isolated)
-
-
-def fpf_of(m: Matching) -> FpfInvolution:
-    return FpfInvolution(m.n, m.strands, m.isolated)
-
-
-def signed_matching_of(pi: Clan) -> SignedMatching:
-    return SignedMatching(pi.n, pi.cycles, pi.signed_fixed_points)
-
-
-def clan_of(m: SignedMatching) -> Clan:
-    return Clan(m.n, m.strands, m.signed_isolated)
-
-
-def crossings(m: Matching | SignedMatching) -> int:
-    """Pairs of strands interleaving as a < c < b < d.
-
-    >>> crossings(Matching(4, ((1, 3), (2, 4)), ()))
+    >>> crossings(Involution.from_cycles(4, [(1, 3), (2, 4)]))
     1
     """
     return sum(
         1
-        for (a, b), (c, d) in itertools.combinations(m.strands, 2)
+        for (a, b), (c, d) in itertools.combinations(x.cycles, 2)
         if a < c < b < d
     )
 
 
-def nestings(m: Matching | SignedMatching) -> int:
+def nestings(x: Involution | Clan) -> int:
     """Pairs of strands contained one in the other, a < c < d < b."""
     return sum(
         1
-        for (a, b), (c, d) in itertools.combinations(m.strands, 2)
+        for (a, b), (c, d) in itertools.combinations(x.cycles, 2)
         if a < c < d < b
     )
 
 
-def matching_length(m: Matching) -> int:
+def matching_length(x: Involution | Clan) -> int:
     """Total strand length minus crossings; equals the weak-order rank.
 
-    >>> matching_length(Matching(4, ((1, 3), (2, 4)), ()))
+    >>> matching_length(Involution.from_cycles(4, [(1, 3), (2, 4)]))
     3
     """
-    return sum(b - a for a, b in m.strands) - crossings(m)
+    return sum(b - a for a, b in x.cycles) - crossings(x)
 
 
 def _cover_type(w: tuple[int, ...], i: int) -> CoverType:
@@ -223,40 +166,34 @@ def _up_clan(w: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
     return out
 
 
-def upward_covers_involution(m: Matching) -> list[tuple[int, Matching, CoverType]]:
-    """All covers of m in the weak order on involutions, as (label, upper, type).
+def _covers_of(family: str, up: Callable, x: Involution | Clan) -> list:
+    """The up-covers of x as (label, upper element, type), from the word moves."""
+    w = one_line_word(x)
+    return [(i, element_of_word(family, v), _cover_type(w, i)) for i, v in up(w)]
+
+
+def upward_covers_involution(x: Involution) -> list[tuple[int, Involution, CoverType]]:
+    """All covers of x in the weak order on involutions, as (label, upper, type).
 
     Generated through the monoid step; several labels may reach the same
-    upper matching (the caller merges those into one Hasse edge).
+    upper involution (the caller merges those into one Hasse edge).
     """
-    w = one_line_word(involution_of(m))
-    return [
-        (i, matching_of(element_of_word("involution", v)), _cover_type(w, i))
-        for i, v in _up_involution(w)
-    ]
+    return _covers_of("involution", _up_involution, x)
 
 
-def upward_covers_fpf(m: Matching) -> list[tuple[int, Matching, CoverType]]:
+def upward_covers_fpf(x: FpfInvolution) -> list[tuple[int, FpfInvolution, CoverType]]:
     """Covers in the fixed-point-free order; only types IB, IC1, IC2 occur."""
-    w = one_line_word(fpf_of(m))
-    return [
-        (i, matching_of(element_of_word("involution", v)), _cover_type(w, i))
-        for i, v in _up_fpf(w)
-    ]
+    return _covers_of("fpf", _up_fpf, x)
 
 
-def upward_covers_clan(m: SignedMatching) -> list[tuple[int, SignedMatching, CoverType]]:
-    """All covers of m in the clan order, as (label, upper, type).
+def upward_covers_clan(x: Clan) -> list[tuple[int, Clan, CoverType]]:
+    """All covers of x in the clan order, as (label, upper, type).
 
     Every move shortens the underlying involution by one rank step, so the
     clan rank p*q - rank rises by exactly 1.  A type II move on the strand
     {i, i+1} yields two covers under the same label, one per sign order.
     """
-    w = one_line_word(clan_of(m))
-    return [
-        (i, signed_matching_of(element_of_word("clan", v)), _cover_type(w, i))
-        for i, v in _up_clan(w)
-    ]
+    return _covers_of("clan", _up_clan, x)
 
 
 def downward_covers_involution(w: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:

@@ -42,7 +42,6 @@ from .involutions import (
     rank_fpf,
     rank_involution,
 )
-from .matchings import Matching, involution_of
 from .permutations import (
     Permutation,
     apply_simple_left,
@@ -55,7 +54,6 @@ from .posets import Element, WeakOrderPoset, _family_of, count_maximal_chains
 __all__ = [
     "WSet",
     "check_conditions_involution",
-    "check_conditions_matching",
     "wset_involution",
     "wset_fpf",
     "wset_clan",
@@ -144,17 +142,6 @@ def check_conditions_involution(w: Permutation, pi: Involution) -> bool:
             if b < c and not pos[a] < pos[c]:
                 return False
     return True
-
-
-def check_conditions_matching(w: Permutation, m: Matching) -> bool:
-    """The same filter, restated on the matching picture.
-
-    Strands play the cycles and isolated vertices the fixed points; the two
-    phrasings agree on every input, which the test suite checks directly.
-    """
-    if w.n != m.n:
-        raise ValueError(f"size mismatch: permutation on {w.n}, matching on {m.n}")
-    return check_conditions_involution(w, involution_of(m))
 
 
 def wset_involution(pi: Involution) -> WSet:

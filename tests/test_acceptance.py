@@ -21,11 +21,9 @@ from weakorder import (
     chain_count_identity,
     drop_cover_types,
     matching_length,
-    matching_of,
     rank_clan,
     rank_involution,
     rs_step_involution,
-    signed_matching_of,
     upward_covers_clan,
     verify_graded,
     wset_clan,
@@ -35,7 +33,6 @@ from weakorder import (
     wset_oracle,
     wstar,
 )
-from weakorder.matchings import clan_of
 from weakorder.permutations import (
     Permutation,
     compose,
@@ -160,7 +157,7 @@ def test_criterion_06_matching_length_is_rank() -> None:
         f"mismatch at {pi.text()} (n={n})"
         for n in range(1, 8)
         for pi in build_poset("involution", n).elements
-        if matching_length(matching_of(pi)) != rank_involution(pi)
+        if matching_length(pi) != rank_involution(pi)
     ]
     _finish(6, "matching length equals involution rank, n <= 7", problems, started, 5.0)
 
@@ -214,8 +211,8 @@ def test_criterion_09_gradedness_and_cover_types() -> None:
     for pq in _clan_params(6):
         for pi in build_poset("clan", pq).elements:
             r = rank_clan(pi)
-            for _, m, _ in upward_covers_clan(signed_matching_of(pi)):
-                if rank_clan(clan_of(m)) != r + 1:
+            for _, tau, _ in upward_covers_clan(pi):
+                if rank_clan(tau) != r + 1:
                     problems.append(f"clan cover off by one above {pi.text()}")
 
     for n in range(1, 6):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -67,6 +68,15 @@ class TestParseElement:
     def test_rejects_fpf_with_fixed_points(self) -> None:
         with pytest.raises(ValueError, match="fixed points"):
             parse_element("(1,2)", "fpf", n=4)
+
+    @pytest.mark.parametrize("text,family", [("(1,10000000)", "fpf"), ("(1+)(10000000-)", "clan")])
+    def test_gaps_in_a_huge_n_fail_fast(self, text, family) -> None:
+        started = time.perf_counter()
+        with pytest.raises(ValueError) as err:
+            parse_element(text, family)
+        assert time.perf_counter() - started < 0.5
+        assert len(str(err.value)) < 1024
+        assert "9999998" in str(err.value)
 
     def test_rejects_id_outside_involutions(self) -> None:
         with pytest.raises(ValueError, match="id"):
@@ -383,8 +393,28 @@ class TestRunVerify:
         captured = capsys.readouterr()
         data = json.loads(captured.out)
         assert [job["ok"] for job in data["jobs"]] == [False, False]
-        assert data["failures"][0] == "fpf n=2: W-set mismatch at (1,2)"
+        assert data["failures"][0] == (
+            "fpf n=2: W-set mismatch at (1,2): 1 only direct ([1,2]), 0 only oracle"
+        )
         assert len(data["failures"]) == 1 + 3
+
+    def test_failure_names_dropped_member(self, capsys, monkeypatch) -> None:
+        import weakorder.cli
+        from weakorder import WSet
+
+        real = weakorder.cli.wset_oracle
+
+        def drop_one(P, x):
+            ws = real(P, x)
+            return WSet(ws.element, ws.rank, ws.members[1:])
+
+        monkeypatch.setattr(weakorder.cli, "wset_oracle", drop_one)
+        assert run(["verify", "--family", "inv", "--n", "4"]) == 1
+        err = capsys.readouterr().err
+        assert (
+            "involution n=4: W-set mismatch at (1,4)(2,3): "
+            "1 only direct ([3,2,4,1]), 0 only oracle"
+        ) in err
 
 
 def test_parser_built_once_per_process(capsys, monkeypatch) -> None:

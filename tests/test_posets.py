@@ -97,8 +97,6 @@ class TestBuild:
             (weakorder.matchings, "upward_covers_involution"),
             (weakorder.matchings, "upward_covers_fpf"),
             (weakorder.matchings, "upward_covers_clan"),
-            (weakorder.matchings.Matching, "__post_init__"),
-            (weakorder.matchings.SignedMatching, "__post_init__"),
         ]:
             monkeypatch.setattr(mod, name, refuse)
         decoded = []

@@ -23,8 +23,6 @@ from weakorder import (
     build_poset,
     chain_count_identity,
     check_conditions_involution,
-    check_conditions_matching,
-    matching_of,
     maximal_chains,
     rank_involution,
     wset_clan,
@@ -150,14 +148,6 @@ class TestConditionFilters:
                     if length(w) == r and check_conditions_involution(w, pi)
                 }
                 assert set(wset_involution(pi).members) == filtered
-
-    def test_matching_form_agrees(self) -> None:
-        for n in range(1, 7):
-            perms = all_permutations(n)
-            for pi in brute_involutions(n):
-                m = matching_of(pi)
-                for w in perms:
-                    assert check_conditions_matching(w, m) == check_conditions_involution(w, pi)
 
     def test_fpf_generator_equals_filter(self) -> None:
         # adjacency of each pair as (a, b), and for pairs with increasing
