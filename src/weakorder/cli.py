@@ -37,7 +37,6 @@ from .posets import (
     build_lower_interval,
     build_poset,
     count_chains_below,
-    count_maximal_chains,
     maximal_chains,
     verify_graded,
 )
@@ -56,8 +55,7 @@ def parse_element(text: str, family: str, n: "int | None" = None) -> Element:
     >>> parse_element("(1,6)(2,3)(4+)(5-)(7+)", "clan").text()
     '(1,6)(2,3)(4+)(5-)(7+)'
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    _family(family)
     compact = "".join(text.split())
     if not compact:
         raise ValueError("empty element text")
@@ -237,11 +235,8 @@ def _cmd_chains(args: argparse.Namespace) -> int:
         return 0
     P = build_lower_interval(args.family, x)
     if args.json:
-        payload = {
-            "element": x.text(),
-            "count": count_maximal_chains(P, x),
-            "chains": [list(c.labels) for c in maximal_chains(P, x)],
-        }
+        chains = [list(c.labels) for c in maximal_chains(P, x)]
+        payload = {"element": x.text(), "count": len(chains), "chains": chains}
         print(json.dumps(payload, indent=2))
     else:
         for c in maximal_chains(P, x):
@@ -273,23 +268,18 @@ def _only(mine: tuple, theirs: tuple, side: str) -> str:
     return f"{len(only)} only {side}" + (f" ({shown})" if only else "")
 
 
+# the size cap of a bare ``verify`` per family: n, or p+q for clans
+_VERIFY_CAPS = {"involution": 6, "fpf": 8, "clan": 6}
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
-    jobs: list[tuple[str, "int | tuple[int, int]"]] = []
     families = FAMILIES if args.family == "all" else (args.family,)
-    for fam in families:
-        if fam == "involution":
-            cap = args.n if args.n is not None else 6
-            jobs += [(fam, n) for n in range(1, cap + 1)]
-        elif fam == "fpf":
-            cap = args.n if args.n is not None else 8
-            jobs += [(fam, n) for n in range(2, cap + 1, 2)]
-        else:
-            cap = args.n if args.n is not None else 6
-            jobs += [
-                (fam, (p, total - p))
-                for total in range(2, cap + 1)
-                for p in range(1, total)
-            ]
+    jobs = [
+        (fam, param)
+        for fam in families
+        for n in range(1, (_VERIFY_CAPS[fam] if args.n is None else args.n) + 1)
+        for param in _family(fam).params(n)
+    ]
     if not jobs:
         raise ValueError(f"--family {args.family} --n {args.n} leaves nothing to verify")
     failures: list[str] = []
@@ -349,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Weak order posets on involutions, their chains and W-sets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    fam = {"choices": ["inv", "involution", "fpf", "clan"], "required": True}
+    fam = {"choices": ["inv", *FAMILIES], "required": True}
 
     sp = sub.add_parser("wset", help="print the W-set of an element")
     sp.add_argument("--family", **fam)
@@ -372,9 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_hasse)
 
     sp = sub.add_parser("verify", help="gradedness and W-set oracle checks")
-    sp.add_argument(
-        "--family", choices=["inv", "involution", "fpf", "clan", "all"], default="all"
-    )
+    sp.add_argument("--family", choices=["inv", *FAMILIES, "all"], default="all")
     sp.add_argument("--n", type=int, help="size cap (p+q for clans)")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(handler=_cmd_verify)

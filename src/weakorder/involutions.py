@@ -333,12 +333,22 @@ def element_of_word(family: str, m: tuple[int, ...]) -> "Involution | Clan":
     raise ValueError(f"unknown family {family!r}")
 
 
+def _require(what: str, kind: type, x: object, exact: bool = False) -> None:
+    """Raise ValueError unless x is a ``kind``, exactly that type if ``exact``."""
+    if (type(x) is not kind) if exact else not isinstance(x, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise ValueError(
+            f"{what} needs {article} {kind.__name__}, got {type(x).__name__}"
+        )
+
+
 def rs_step_involution(i: int, pi: Involution) -> Involution:
     """One monoid step at i: the unique cover of pi along label i, or pi itself.
 
     >>> rs_step_involution(1, standard_form(identity(4))).cycles
     ((1, 2),)
     """
+    _require("rs_step_involution", Involution, pi)
     if not 1 <= i <= pi.n - 1:
         raise ValueError(f"step index {i} out of range 1..{pi.n - 1}")
     return _involution_from_map(_step_map(i, one_line_word(pi)), Involution)
@@ -350,6 +360,7 @@ def rs_step_fpf(i: int, pi: FpfInvolution) -> FpfInvolution:
     This is the restriction of the all-involutions step: with no fixed
     points available the attach branch never fires.
     """
+    _require("rs_step_fpf", FpfInvolution, pi)
     if not 1 <= i <= pi.n - 1:
         raise ValueError(f"step index {i} out of range 1..{pi.n - 1}")
     return _involution_from_map(_step_map(i, one_line_word(pi)), FpfInvolution)
@@ -365,6 +376,7 @@ def rs_word_action(w: Permutation, pi: Involution) -> Involution:
     >>> rs_word_action(Permutation((3, 1, 2)), standard_form(identity(3))).cycles
     ((1, 3),)
     """
+    _require("rs_word_action", Involution, pi)
     if w.n != pi.n:
         raise ValueError(f"size mismatch: {w.n} vs {pi.n}")
     family = FpfInvolution if isinstance(pi, FpfInvolution) else Involution

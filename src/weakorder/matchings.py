@@ -44,6 +44,7 @@ from .involutions import (
     FpfInvolution,
     Involution,
     _conjugate,
+    _require,
     _step_down_map,
     _step_map,
     element_of_word,
@@ -166,8 +167,9 @@ def _up_clan(w: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
     return out
 
 
-def _covers_of(family: str, up: Callable, x: Involution | Clan) -> list:
-    """The up-covers of x as (label, upper element, type), from the word moves."""
+def _covers_of(family: str, kind: type, up: Callable, x: Involution | Clan) -> list:
+    """The up-covers of x, exactly a ``kind``, as (label, upper, type)."""
+    _require(f"family {family!r}", kind, x, exact=True)
     w = one_line_word(x)
     return [(i, element_of_word(family, v), _cover_type(w, i)) for i, v in up(w)]
 
@@ -178,12 +180,12 @@ def upward_covers_involution(x: Involution) -> list[tuple[int, Involution, Cover
     Generated through the monoid step; several labels may reach the same
     upper involution (the caller merges those into one Hasse edge).
     """
-    return _covers_of("involution", _up_involution, x)
+    return _covers_of("involution", Involution, _up_involution, x)
 
 
 def upward_covers_fpf(x: FpfInvolution) -> list[tuple[int, FpfInvolution, CoverType]]:
     """Covers in the fixed-point-free order; only types IB, IC1, IC2 occur."""
-    return _covers_of("fpf", _up_fpf, x)
+    return _covers_of("fpf", FpfInvolution, _up_fpf, x)
 
 
 def upward_covers_clan(x: Clan) -> list[tuple[int, Clan, CoverType]]:
@@ -193,7 +195,7 @@ def upward_covers_clan(x: Clan) -> list[tuple[int, Clan, CoverType]]:
     clan rank p*q - rank rises by exactly 1.  A type II move on the strand
     {i, i+1} yields two covers under the same label, one per sign order.
     """
-    return _covers_of("clan", _up_clan, x)
+    return _covers_of("clan", Clan, _up_clan, x)
 
 
 def downward_covers_involution(w: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:

@@ -1,14 +1,15 @@
 """Weak order posets as explicit labeled Hasse diagrams.
 
-Each family's poset is built once, by breadth-first closure of the bottom
-element's one-line word under the family's up-covers (see the matchings
-module); each word is decoded into an element only once the closure is
-done.  Elements are sorted by (rank, text), so indices are stable and
+One breadth-first closure on one-line words, ``_closure``, builds every
+poset: from the bottom's word under the family's up-covers, or from x's word
+under the down-covers for [bottom, x] alone (see the matchings module).
+Each word is decoded into an element only once the closure is done.
+Elements are sorted by (rank, text), so indices are stable and
 rank-monotone: every edge points from a lower index to a strictly higher
 one, and dynamic programs can sweep the element list in order.
 
 What differs between the three families (element type, cover moves, rank,
-closed-form count, size parameter) sits in one private table, ``_FAMILY``,
+closed-form count, size parameters) sits in one private table, ``_FAMILY``,
 keyed by the names in ``FAMILIES``.
 
 Edges are merged per element pair: an edge carries the sorted tuple of all
@@ -16,14 +17,10 @@ labels i realizing the cover, with the per-label cover types kept parallel.
 A maximal chain resolves every step to a single label, so a multi-label edge
 widens the set of chains without widening the Hasse diagram.
 
-A single lower interval [bottom, x] can also be built on its own, by
-closure downward from x's word under the down-covers
-(``build_lower_interval``, ``count_chains_below``), without building the
-rest of the family poset.
-
-Ranks are recorded at build time as breadth-first depth; ``verify_graded``
-cross-checks them against the closed-form rank of every element, which is
-itself a statement worth testing rather than an implementation detail.
+Ranks are the closure's breadth-first depth (below x: rank(x) minus it);
+``verify_graded`` cross-checks them against the closed-form rank of every
+element, which is itself a statement worth testing rather than an
+implementation detail.
 
 >>> P = build_poset("involution", 4)
 >>> len(P.elements), len(P.edges)
@@ -41,6 +38,7 @@ from .involutions import (
     Clan,
     FpfInvolution,
     Involution,
+    _require,
     bottom_element,
     clan_count,
     element_of_word,
@@ -81,6 +79,8 @@ __all__ = [
 
 Element = Union[Involution, FpfInvolution, Clan]
 Word = tuple[int, ...]
+Moves = list[tuple[int, Word]]
+Closure = tuple[dict[Word, int], dict[Word, Moves]]
 
 
 @dataclass(frozen=True)
@@ -88,25 +88,28 @@ class _Family:
     """What the rest of the package needs to know about one weak order."""
 
     element: type
-    up: Callable[[Word], list[tuple[int, Word]]]
-    down: Callable[[Word], list[tuple[int, Word]]]
+    up: Callable[[Word], Moves]
+    down: Callable[[Word], Moves]
     rank: Callable[[Element], int]
     count: Callable[[int | tuple[int, int]], int]
     param_of: Callable[[Element], int | tuple[int, int]]
+    # the size parameters of the family's posets on n vertices
+    params: Callable[[int], list[int | tuple[int, int]]]
 
 
 _FAMILY = {
     "involution": _Family(
         Involution, _up_involution, downward_covers_involution,
-        rank_involution, involution_count, lambda x: x.n,
+        rank_involution, involution_count, lambda x: x.n, lambda n: [n],
     ),
     "fpf": _Family(
         FpfInvolution, _up_fpf, downward_covers_fpf,
-        rank_fpf, fpf_count, lambda x: x.n,
+        rank_fpf, fpf_count, lambda x: x.n, lambda n: [n] if n % 2 == 0 else [],
     ),
     "clan": _Family(
         Clan, _up_clan, downward_covers_clan,
         rank_clan, lambda pq: clan_count(*pq), lambda x: (x.p, x.q),
+        lambda n: [(p, n - p) for p in range(1, n)],
     ),
 }
 
@@ -123,10 +126,7 @@ def _family(name: str) -> _Family:
 def _family_of(name: str, x: Element) -> _Family:
     """The named family, after checking that x is exactly its element type."""
     fam = _family(name)
-    if type(x) is not fam.element:
-        raise ValueError(
-            f"family {name!r} needs a {fam.element.__name__}, got {type(x).__name__}"
-        )
+    _require(f"family {name!r}", fam.element, x, exact=True)
     return fam
 
 
@@ -181,8 +181,7 @@ class WeakOrderPoset:
         edges: tuple[Edge, ...],
         complete: bool,
     ) -> None:
-        if family not in FAMILIES:
-            raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        _family(family)
         self.family = family
         self.param = param
         self.elements = elements
@@ -221,6 +220,25 @@ class WeakOrderPoset:
         return tuple(e for j, e in enumerate(self.elements) if not self.up[j])
 
 
+def _closure(start: Word, moves: Callable[[Word], Moves]) -> Closure:
+    """Breadth-first closure of ``start`` under ``moves``: every reached word's
+    depth and its (label, word) moves, both keyed in breadth-first order."""
+    depth = {start: 0}
+    reached: dict[Word, Moves] = {}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            reached[w] = got = moves(w)
+            d = depth[w] + 1
+            for _, v in got:
+                if v not in depth:
+                    depth[v] = d
+                    nxt.append(v)
+        frontier = nxt
+    return depth, reached
+
+
 def build_poset(family: str, param: "int | tuple[int, int]") -> WeakOrderPoset:
     """Breadth-first closure of the bottom element's word under up-covers.
 
@@ -229,20 +247,8 @@ def build_poset(family: str, param: "int | tuple[int, int]") -> WeakOrderPoset:
     >>> len(build_poset("clan", (2, 2)).maximal_elements())
     6
     """
-    up = _family(family).up
     bottom = one_line_word(bottom_element(family, param))
-    depth = {bottom: 0}
-    covers: dict[Word, list[tuple[int, Word]]] = {}
-    frontier = [bottom]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            covers[w] = up(w)
-            for _, v in covers[w]:
-                if v not in depth:
-                    depth[v] = depth[w] + 1
-                    nxt.append(v)
-        frontier = nxt
+    depth, covers = _closure(bottom, _family(family).up)
     links = ((w, i, v) for w, got in covers.items() for i, v in got)
     return _assemble(family, param, depth, links, complete=True)
 
@@ -308,35 +314,25 @@ def lower_interval(P: WeakOrderPoset, x: Element) -> WeakOrderPoset:
     return WeakOrderPoset(P.family, P.param, elements, ranks, edges, complete=False)
 
 
-def _down_closure(family: str, x: Element) -> dict[Word, list[tuple[int, Word]]]:
-    """Breadth-first closure of x's one-line word under down-covers.
+def _down_closure(family: str, x: Element) -> Closure:
+    """``_closure`` of x's one-line word under down-covers.
 
-    Maps every word of [bottom, x] to its (label, lower word) down-covers,
-    in breadth-first order from x; the orders are graded, so every word
-    comes before its down-covers and the reversed order runs bottom first.
-    Raises RuntimeError if a word other than the family bottom has no
-    down-cover.
+    Gives every word of [bottom, x] its depth below x and its (label, lower
+    word) down-covers, in breadth-first order from x; the orders are graded,
+    so every word comes before its down-covers and the reversed order runs
+    bottom first.  Raises RuntimeError if a word other than the family
+    bottom has no down-cover.
     """
     fam = _family_of(family, x)
-    down = fam.down
     bottom = one_line_word(bottom_element(family, fam.param_of(x)))
-    top = one_line_word(x)
-    covers = {top: down(top)}
-    frontier = [top]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            if not covers[w] and w != bottom:
-                raise RuntimeError(
-                    f"{element_of_word(family, w).text()} has no down-cover "
-                    f"but is not the {family} bottom"
-                )
-            for _, v in covers[w]:
-                if v not in covers:
-                    covers[v] = down(v)
-                    nxt.append(v)
-        frontier = nxt
-    return covers
+    depth, covers = _closure(one_line_word(x), fam.down)
+    for w, got in covers.items():
+        if not got and w != bottom:
+            raise RuntimeError(
+                f"{element_of_word(family, w).text()} has no down-cover "
+                f"but is not the {family} bottom"
+            )
+    return depth, covers
 
 
 def count_chains_below(family: str, x: Element) -> int:
@@ -348,7 +344,7 @@ def count_chains_below(family: str, x: Element) -> int:
     >>> count_chains_below("involution", Involution.from_cycles(4, [(1, 4), (2, 3)]))
     8
     """
-    covers = _down_closure(family, x)
+    _, covers = _down_closure(family, x)
     counts: dict[Word, int] = {}
     for w in reversed(covers):
         below = covers[w]
@@ -366,11 +362,9 @@ def build_lower_interval(family: str, x: Element) -> WeakOrderPoset:
     >>> [e.text() for e in build_lower_interval("fpf", x).elements]
     ['(1,2)(3,4)(5,6)', '(1,3)(2,4)(5,6)']
     """
-    covers = _down_closure(family, x)
-    rank: dict[Word, int] = {}
-    for w in reversed(covers):
-        below = covers[w]
-        rank[w] = rank[below[0][1]] + 1 if below else 0
+    depth, covers = _down_closure(family, x)
+    top = max(depth.values())
+    rank = {w: top - d for w, d in depth.items()}
     links = ((v, i, w) for w, got in covers.items() for i, v in got)
     return _assemble(family, _family(family).param_of(x), rank, links, complete=False)
 

@@ -384,6 +384,43 @@ class TestRunVerify:
             assert f"{job['elements']} elements, {job['edges']} edges" in line
             assert line.endswith("[ok]") == job["ok"]
 
+    _CLANS_UP_TO_5 = (
+        "clan:1,1 clan:1,2 clan:2,1 clan:1,3 clan:2,2 clan:3,1 clan:1,4 clan:2,3 "
+        "clan:3,2 clan:4,1"
+    )
+
+    @pytest.mark.parametrize(
+        "flags, want",
+        [
+            (
+                [],
+                "involution:1 involution:2 involution:3 involution:4 involution:5 "
+                "involution:6 fpf:2 fpf:4 fpf:6 fpf:8 " + _CLANS_UP_TO_5
+                + " clan:1,5 clan:2,4 clan:3,3 clan:4,2 clan:5,1",
+            ),
+            (
+                ["--n", "5"],
+                "involution:1 involution:2 involution:3 involution:4 involution:5 "
+                "fpf:2 fpf:4 " + _CLANS_UP_TO_5,
+            ),
+            (["--family", "fpf", "--n", "9"], "fpf:2 fpf:4 fpf:6 fpf:8"),
+            (
+                ["--family", "clan", "--n", "4"],
+                "clan:1,1 clan:1,2 clan:2,1 clan:1,3 clan:2,2 clan:3,1",
+            ),
+        ],
+    )
+    def test_job_sequence_frozen(self, capsys, flags, want) -> None:
+        # the default caps (involutions n <= 6, fpf n <= 8, clans p+q <= 6)
+        # and the job order, as verify printed them when this test was added
+        assert run(["verify", "--json"] + flags) == 0
+        jobs = json.loads(capsys.readouterr().out)["jobs"]
+        got = " ".join(
+            f"{job['family']}:" + ",".join(str(v) for v in job["params"].values())
+            for job in jobs
+        )
+        assert got == want
+
     def test_json_reports_failures(self, capsys, monkeypatch) -> None:
         import weakorder.cli
         from weakorder import WSet

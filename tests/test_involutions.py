@@ -224,6 +224,38 @@ class TestMonoidSteps:
         assert isinstance(out, FpfInvolution)
 
 
+_PLUS_CLAN = Clan.from_parts(3, [(1, 2)], {3: 1})
+_MINUS_CLAN = Clan.from_parts(3, [(1, 2)], {3: -1})
+_NOT_FPF = Involution.from_cycles(4, [(1, 2)])
+
+
+@pytest.mark.parametrize(
+    "move, x, want",
+    [
+        ("rs_step_involution", _PLUS_CLAN, "an Involution, got Clan"),
+        ("rs_step_involution", _MINUS_CLAN, "an Involution, got Clan"),
+        ("rs_word_action", _PLUS_CLAN, "an Involution, got Clan"),
+        ("rs_word_action", _MINUS_CLAN, "an Involution, got Clan"),
+        ("rs_step_fpf", _NOT_FPF, "a FpfInvolution, got Involution"),
+        ("rs_step_fpf", _PLUS_CLAN, "a FpfInvolution, got Clan"),
+    ],
+)
+def test_steps_reject_another_family(move, x, want) -> None:
+    # a clan would lose its signs; an involution is not a fixed-point-free one
+    call = {
+        "rs_step_involution": lambda: rs_step_involution(1, x),
+        "rs_step_fpf": lambda: rs_step_fpf(1, x),
+        "rs_word_action": lambda: rs_word_action(Permutation((1, 3, 2)), x),
+    }[move]
+    with pytest.raises(ValueError, match=f"{move} needs {want}"):
+        call()
+
+
+def test_involution_step_accepts_fpf() -> None:
+    x = FpfInvolution.from_cycles(4, [(1, 2), (3, 4)])
+    assert rs_step_involution(2, x).text() == "(1,3)(2,4)"
+
+
 class TestBottoms:
     def test_bottom_shapes(self) -> None:
         assert bottom_element("involution", 4).text() == "id"

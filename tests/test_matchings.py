@@ -23,7 +23,7 @@ from weakorder import (
     upward_covers_fpf,
     upward_covers_involution,
 )
-from weakorder.involutions import Involution, bottom_fpf
+from weakorder.involutions import Clan, FpfInvolution, Involution, bottom_fpf
 
 
 class TestRoundTrips:
@@ -170,3 +170,26 @@ class TestCoversClan:
         for pi in brute_clans(2, 2):
             if rank_clan(pi) == 4:
                 assert upward_covers_clan(pi) == []
+
+
+_INV = Involution.from_cycles(3, [(1, 2)])
+_FPF = FpfInvolution.from_cycles(2, [(1, 2)])
+_CLAN = Clan.from_parts(3, [(1, 2)], {3: 1})
+
+
+@pytest.mark.parametrize(
+    "covers, x, want",
+    [
+        (upward_covers_involution, _FPF, "needs an Involution, got FpfInvolution"),
+        (upward_covers_involution, _CLAN, "needs an Involution, got Clan"),
+        (upward_covers_fpf, _INV, "needs a FpfInvolution, got Involution"),
+        (upward_covers_fpf, _CLAN, "needs a FpfInvolution, got Clan"),
+        (upward_covers_clan, _INV, "needs a Clan, got Involution"),
+        (upward_covers_clan, _FPF, "needs a Clan, got FpfInvolution"),
+    ],
+)
+def test_covers_reject_another_family(covers, x, want) -> None:
+    # each family's covers take exactly its element type, as build_poset does
+    name = covers.__name__.removeprefix("upward_covers_")
+    with pytest.raises(ValueError, match=f"family '{name}' {want}"):
+        covers(x)
