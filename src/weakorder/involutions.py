@@ -490,9 +490,3 @@ def clan_count(p: int, q: int) -> int:
         comb(n, 2 * k) * _double_factorial_odd(k) * comb(n - 2 * k, p - k)
         for k in range(min(p, q) + 1)
     )
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -239,9 +239,3 @@ def downward_covers_clan(w: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]
         elif abs(a) < abs(b):
             out.append((i, _conjugate(i, w)))
     return out
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

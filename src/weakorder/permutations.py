@@ -280,9 +280,3 @@ def count_reduced_words(u: Permutation) -> int:
         return total
 
     return rec(u)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -515,9 +515,3 @@ def drop_cover_types(P: WeakOrderPoset, kinds: Iterable[CoverType]) -> WeakOrder
     return WeakOrderPoset(
         P.family, P.param, P.elements, P.ranks, tuple(edges), complete=False
     )
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

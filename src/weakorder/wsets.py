@@ -8,9 +8,10 @@ the chains below x are exactly the reduced words of the W-set members.
 
 Each family also admits a direct construction that never touches the poset:
 
-- involutions: all words passing five positional conditions on where the
-  cycle values (b_i before a_i, consecutively up to nesting) and the fixed
-  points (increasing, outside every cycle span) may sit;
+- involutions: an exact placement of the cycles and fixed points, in
+  order of their smaller end, that enforces the five positional
+  conditions of ``check_conditions_involution`` while it places, so
+  every completed word is a member;
 - fixed-point-free involutions: all concatenations of the two-element blocks
   [a_i, b_i] in any order that keeps block i before block j whenever both
   a_i < a_j and b_i < b_j;
@@ -19,8 +20,10 @@ Each family also admits a direct construction that never touches the poset:
   opposite-sign pair of isolated vertices to the outer free slots (large end
   left), until only same-sign isolated vertices remain in the middle.
 
-``wset_oracle`` computes the same sets by brute force over labeled chains;
-the test suite certifies that each direct construction agrees with it.
+Each direct construction reaches every member once, so none deduplicates:
+``WSet`` rejects a repeated member.  ``wset_oracle`` computes the same sets
+by brute force over labeled chains; the test suite certifies that each
+direct construction agrees with it.
 
 >>> pi = Involution.from_cycles(4, [(1, 4), (2, 3)])
 >>> [w.as_text(compact=True) for w in wset_involution(pi).members]
@@ -32,7 +35,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .involutions import (
     Clan,
@@ -92,8 +95,7 @@ class WSet:
 
 
 def _collect(element: Element, rank: int, words: Iterable[Permutation]) -> WSet:
-    members = tuple(sorted(set(words), key=lambda w: w.word))
-    return WSet(element, rank, members)
+    return WSet(element, rank, tuple(sorted(words, key=lambda w: w.word)))
 
 
 def check_conditions_involution(w: Permutation, pi: Involution) -> bool:
@@ -110,7 +112,9 @@ def check_conditions_involution(w: Permutation, pi: Involution) -> bool:
     5. a fixed point above b_i occurs after a_i.
 
     The filter says nothing about length; membership additionally requires
-    length(w) to equal the rank, which callers enforce.
+    length(w) to equal the rank.  No program path calls it:
+    ``wset_involution`` enforces the same conditions while it places, and
+    the tests and demos check the generator against this reference.
 
     >>> pi = Involution.from_cycles(4, [(1, 4), (2, 3)])
     >>> check_conditions_involution(Permutation((3, 4, 1, 2)), pi)
@@ -145,64 +149,68 @@ def check_conditions_involution(w: Permutation, pi: Involution) -> bool:
 
 
 def wset_involution(pi: Involution) -> WSet:
-    """Direct W-set of an involution, by placement backtracking.
+    """Direct W-set of an involution, by exact placement.
 
-    The values (b_t, a_t) are placed cycle by cycle into two consecutive
-    free slots, b_t on the left; a placement that already breaks condition
-    (1) or (2) is abandoned.  Fixed points then fill the remaining slots in
-    increasing order and the full five-condition filter has the last word.
+    Each fixed point c is the one-slot block (c, c), and cycles and fixed
+    points are placed together in order of their smaller end:
+
+    - a cycle (a, b) takes two consecutive free slots, b on the left, with
+      no value strictly between a and b in the slots between them
+      (condition 1);
+    - a fixed point takes the first free slot, because every later block
+      lands to its right;
+    - conditions 2-5 are one rule: an earlier block (a0, b0) with b0 < b
+      has a0 left of the new block's b.
+
+    So every completed word is a member, and each member is reached once.
+    The search keeps an explicit stack of slot iterators, one per placed
+    block, so sparse involutions of any size stay within the recursion
+    limit.
 
     >>> pi = Involution.from_cycles(5, [(1, 3), (2, 5)])
     >>> [w.as_text(compact=True) for w in wset_involution(pi).members]
     ['31452', '31524']
     """
     n = pi.n
-    cycles = pi.cycles
+    blocks = sorted(pi.cycles + tuple((c, c) for c in pi.fixed_points))
     word = [0] * n
-    pos: dict[int, int] = {}
-    results: set[Permutation] = set()
+    pos = [0] * (n + 1)
+    members: list[Permutation] = []
 
-    def fits(t: int, pb: int, pa: int) -> bool:
-        a, b = cycles[t]
-        for s in range(pb + 1, pa):
-            # slots between two consecutive free slots are all occupied
-            if a < word[s] < b:
-                return False
-        for a0, b0 in cycles[:t]:
-            pb0, pa0 = pos[b0], pos[a0]
-            if a0 < b < b0 and pb0 < pb < pa0:
-                return False
-            if a0 < a < b0 and pb0 < pa < pa0:
-                return False
-            if b0 < b and not pos[a0] < pb:
-                return False
-        return True
-
-    def place(t: int) -> None:
-        if t == len(cycles):
-            free = [s for s in range(n) if not word[s]]
-            for s, c in zip(free, pi.fixed_points):
-                word[s] = c
-            cand = Permutation(tuple(word))
-            if check_conditions_involution(cand, pi):
-                results.add(cand)
-            for s in free:
-                word[s] = 0
+    def slots(t: int) -> Iterator[tuple[int, int]]:
+        """The (slot of b, slot of a) choices for block t, given blocks < t."""
+        a, b = blocks[t]
+        least = max((pos[a0] + 1 for a0, b0 in blocks[:t] if b0 < b), default=0)
+        if a == b:
+            first = word.index(0)
+            if first >= least:
+                yield first, first
             return
-        a, b = cycles[t]
-        free = [s for s in range(n) if not word[s]]
-        for u in range(len(free) - 1):
-            pb, pa = free[u], free[u + 1]
-            if not fits(t, pb, pa):
-                continue
-            word[pb], word[pa] = b, a
-            pos[b], pos[a] = pb, pa
-            place(t + 1)
-            word[pb], word[pa] = 0, 0
-            del pos[b], pos[a]
+        free = [s for s in range(least, n) if not word[s]]
+        for pb, pa in zip(free, free[1:]):
+            if not any(a < word[s] < b for s in range(pb + 1, pa)):
+                yield pb, pa
 
-    place(0)
-    return _collect(pi, rank_involution(pi), results)
+    stack = [slots(0)]
+    held: list[tuple[int, int]] = []  # the slots of each placed block
+    while stack:
+        if len(held) == len(stack):
+            pb, pa = held.pop()
+            word[pb] = word[pa] = 0
+        choice = next(stack[-1], None)
+        if choice is None:
+            stack.pop()
+            continue
+        pb, pa = choice
+        a, b = blocks[len(held)]
+        word[pb], word[pa] = b, a
+        pos[b], pos[a] = pb, pa
+        held.append(choice)
+        if len(held) == len(blocks):
+            members.append(Permutation(tuple(word)))
+        else:
+            stack.append(slots(len(held)))
+    return _collect(pi, rank_involution(pi), members)
 
 
 def wset_fpf(pi: FpfInvolution) -> WSet:
@@ -219,13 +227,13 @@ def wset_fpf(pi: FpfInvolution) -> WSet:
     """
     blocks = pi.cycles
     k = len(blocks)
-    results: set[Permutation] = set()
+    results: list[Permutation] = []
     used = [False] * k
     order: list[int] = []
 
     def extend() -> None:
         if len(order) == k:
-            results.add(Permutation(tuple(v for t in order for v in blocks[t])))
+            results.append(Permutation(tuple(v for t in order for v in blocks[t])))
             return
         for t in range(k):
             if used[t]:
@@ -269,9 +277,14 @@ def wset_clan(pi: Clan) -> WSet:
     A (small endpoint left), or two isolated vertices of opposite sign,
     adjacent in A and likewise nested in no such strand (large one left).
     When A holds only same-sign isolated vertices they fill the middle in
-    increasing order.  Distinct choice sequences can repeat a word; the
-    result is deduplicated.  Completions depend only on A, so they are
-    memoized per remaining-vertex set.
+    increasing order.  Completions depend only on A, so they are memoized
+    per remaining-vertex set.
+
+    The peeling is injective: distinct choice sequences give distinct words.
+    A step fixes the outermost free pair of letters, and the choices at one
+    A differ there: strands are distinct with left < right, opposite-sign
+    pairs are distinct with left > right, and A with no choice left ends the
+    word.  So the words are collected without deduplication.
 
     >>> c = Clan.from_parts(4, [], {1: 1, 2: -1, 3: 1, 4: 1})
     >>> [w.as_text(compact=True) for w in wset_clan(c).members]
@@ -279,9 +292,9 @@ def wset_clan(pi: Clan) -> WSet:
     """
     sign = dict(pi.signed_fixed_points)
     strands = pi.cycles
-    memo: dict[frozenset[int], set[tuple[int, ...]]] = {}
+    memo: dict[frozenset[int], list[tuple[int, ...]]] = {}
 
-    def completions(A: frozenset[int]) -> set[tuple[int, ...]]:
+    def completions(A: frozenset[int]) -> list[tuple[int, ...]]:
         got = memo.get(A)
         if got is not None:
             return got
@@ -290,10 +303,8 @@ def wset_clan(pi: Clan) -> WSet:
         def nested(x: int, y: int) -> bool:
             return any(c < x and y < d for c, d in live)
 
-        out: set[tuple[int, ...]] = set()
         if not live and len({sign[v] for v in A}) <= 1:
-            out.add(tuple(sorted(A)))
-            memo[A] = out
+            out = memo[A] = [tuple(sorted(A))]
             return out
         choices: list[tuple[int, int]] = []
         for a, b in live:
@@ -303,10 +314,11 @@ def wset_clan(pi: Clan) -> WSet:
         for x, y in zip(ordered, ordered[1:]):
             if x in sign and y in sign and sign[x] != sign[y] and not nested(x, y):
                 choices.append((y, x))
-        for left, right in choices:
-            for mid in completions(A - {left, right}):
-                out.add((left,) + mid + (right,))
-        memo[A] = out
+        out = memo[A] = [
+            (left,) + mid + (right,)
+            for left, right in choices
+            for mid in completions(A - {left, right})
+        ]
         return out
 
     words = completions(frozenset(range(1, pi.n + 1)))
@@ -387,9 +399,3 @@ def chain_count_identity(P: WeakOrderPoset, x: Element) -> tuple[int, int, bool]
     direct = wset_direct(P.family, x)
     words = sum(count_reduced_words(w) for w in direct.members)
     return chains, words, chains == words
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

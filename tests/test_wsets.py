@@ -54,6 +54,15 @@ class TestWSetContainer:
         with pytest.raises(ValueError):
             WSet(inv(3, (1, 2)), 2, (Permutation((2, 1, 3)),))
 
+    def test_collect_rejects_a_repeat(self) -> None:
+        # the direct generators reach each member once, so a repeat is a
+        # fault that must surface, not be merged away
+        import weakorder.wsets
+
+        w = Permutation((2, 1, 3))
+        with pytest.raises(ValueError, match="duplicate-free"):
+            weakorder.wsets._collect(inv(3, (1, 2)), 1, [w, w])
+
 
 class TestKnownInvolutionSets:
     def test_size_four(self) -> None:
@@ -169,6 +178,29 @@ class TestConditionFilters:
                         continue
                     filtered.add(w)
                 assert set(wset_fpf(pi).members) == filtered
+
+    def test_generator_never_calls_the_filter(self, monkeypatch) -> None:
+        import weakorder.wsets
+
+        def refuse(w: Permutation, pi: Involution) -> bool:
+            raise AssertionError("the generator called the reference filter")
+
+        monkeypatch.setattr(weakorder.wsets, "check_conditions_involution", refuse)
+        for n in range(1, 7):
+            for pi in brute_involutions(n):
+                assert len(wset_involution(pi)) >= 1
+
+    def test_sparse_involution_is_fast(self) -> None:
+        # one placement per block on an explicit stack: the 1498 fixed
+        # points neither recurse nor branch
+        import time
+
+        start = time.perf_counter()
+        got = wset_involution(inv(1500, (1, 3)))
+        elapsed = time.perf_counter() - start
+        tail = tuple(range(4, 1501))
+        assert [w.word for w in got.members] == [(2, 3, 1) + tail, (3, 1, 2) + tail]
+        assert elapsed < 5.0
 
     @given(involution_strategy())
     def test_members_are_sound(self, pi: Involution) -> None:
