@@ -20,6 +20,12 @@ Each family also admits a direct construction that never touches the poset:
   opposite-sign pair of isolated vertices to the outer free slots (large end
   left), until only same-sign isolated vertices remain in the middle.
 
+The two placement constructions run on one explicit-stack loop,
+``_search``, so neither recurses; clan peeling recurses over a memo table
+keyed by the set of vertices still to write.  All of them, and the oracle,
+work on one-line tuples: ``_collect`` turns each member into a
+``Permutation`` once, and ``WSet`` checks each member's length once.
+
 Each direct construction reaches every member once, so none deduplicates:
 ``WSet`` rejects a repeated member.  ``wset_oracle`` computes the same sets
 by brute force over labeled chains; the test suite certifies that each
@@ -35,7 +41,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .involutions import (
     Clan,
@@ -45,13 +51,7 @@ from .involutions import (
     rank_fpf,
     rank_involution,
 )
-from .permutations import (
-    Permutation,
-    apply_simple_left,
-    count_reduced_words,
-    identity,
-    length,
-)
+from .permutations import Permutation, count_reduced_words, length
 from .posets import Element, WeakOrderPoset, _family_of, count_maximal_chains
 
 __all__ = [
@@ -82,9 +82,11 @@ class WSet:
 
     def __post_init__(self) -> None:
         for w in self.members:
-            if length(w) != self.rank:
+            got = length(w)
+            if got != self.rank:
                 raise ValueError(
-                    f"member {w} has length {length(w)}, expected the rank {self.rank}"
+                    f"member {w} of {self.element.text()} has length {got},"
+                    f" expected the rank {self.rank}"
                 )
         words = [w.word for w in self.members]
         if sorted(set(words)) != words:
@@ -94,8 +96,46 @@ class WSet:
         return len(self.members)
 
 
-def _collect(element: Element, rank: int, words: Iterable[Permutation]) -> WSet:
-    return WSet(element, rank, tuple(sorted(words, key=lambda w: w.word)))
+def _collect(element: Element, rank: int, words: Iterable[tuple[int, ...]]) -> WSet:
+    # tuples sort as the one-line words do; each member is validated once here
+    return WSet(element, rank, tuple(Permutation(w) for w in sorted(words)))
+
+
+# (slot, value) pairs that one step writes
+_Choice = tuple[tuple[int, int], ...]
+
+
+def _search(
+    n: int, steps: int, choices: Callable[[int, list[int], list[int]], Iterator[_Choice]]
+) -> list[tuple[int, ...]]:
+    """Every word completed by ``steps`` placement steps, on an explicit stack.
+
+    ``word[s]`` is 0 while slot s is free and ``pos[v]`` is -1 while the
+    value v is unplaced.  ``choices(t, word, pos)`` yields the choices of
+    step t given steps < t; the stack keeps one such iterator per placed
+    step, so any number of steps stays within the recursion limit.
+    """
+    word = [0] * n
+    pos = [-1] * (n + 1)
+    words: list[tuple[int, ...]] = []
+    stack = [choices(0, word, pos)]
+    held: list[_Choice] = []  # the choice taken at each placed step
+    while stack:
+        if len(held) == len(stack):
+            for s, v in held.pop():
+                word[s], pos[v] = 0, -1
+        choice = next(stack[-1], None)
+        if choice is None:
+            stack.pop()
+            continue
+        for s, v in choice:
+            word[s], pos[v] = v, s
+        held.append(choice)
+        if len(held) == steps:
+            words.append(tuple(word))
+        else:
+            stack.append(choices(len(held), word, pos))
+    return words
 
 
 def check_conditions_involution(w: Permutation, pi: Involution) -> bool:
@@ -163,9 +203,7 @@ def wset_involution(pi: Involution) -> WSet:
       has a0 left of the new block's b.
 
     So every completed word is a member, and each member is reached once.
-    The search keeps an explicit stack of slot iterators, one per placed
-    block, so sparse involutions of any size stay within the recursion
-    limit.
+    ``_search`` runs the placement.
 
     >>> pi = Involution.from_cycles(5, [(1, 3), (2, 5)])
     >>> [w.as_text(compact=True) for w in wset_involution(pi).members]
@@ -173,44 +211,21 @@ def wset_involution(pi: Involution) -> WSet:
     """
     n = pi.n
     blocks = sorted(pi.cycles + tuple((c, c) for c in pi.fixed_points))
-    word = [0] * n
-    pos = [0] * (n + 1)
-    members: list[Permutation] = []
 
-    def slots(t: int) -> Iterator[tuple[int, int]]:
-        """The (slot of b, slot of a) choices for block t, given blocks < t."""
+    def place(t: int, word: list[int], pos: list[int]) -> Iterator[_Choice]:
         a, b = blocks[t]
-        least = max((pos[a0] + 1 for a0, b0 in blocks[:t] if b0 < b), default=0)
+        least = max([pos[a0] for a0, b0 in blocks[:t] if b0 < b], default=-1) + 1
         if a == b:
             first = word.index(0)
             if first >= least:
-                yield first, first
+                yield ((first, a),)
             return
         free = [s for s in range(least, n) if not word[s]]
         for pb, pa in zip(free, free[1:]):
-            if not any(a < word[s] < b for s in range(pb + 1, pa)):
-                yield pb, pa
+            if not any(a < v < b for v in word[pb + 1 : pa]):
+                yield (pb, b), (pa, a)
 
-    stack = [slots(0)]
-    held: list[tuple[int, int]] = []  # the slots of each placed block
-    while stack:
-        if len(held) == len(stack):
-            pb, pa = held.pop()
-            word[pb] = word[pa] = 0
-        choice = next(stack[-1], None)
-        if choice is None:
-            stack.pop()
-            continue
-        pb, pa = choice
-        a, b = blocks[len(held)]
-        word[pb], word[pa] = b, a
-        pos[b], pos[a] = pb, pa
-        held.append(choice)
-        if len(held) == len(blocks):
-            members.append(Permutation(tuple(word)))
-        else:
-            stack.append(slots(len(held)))
-    return _collect(pi, rank_involution(pi), members)
+    return _collect(pi, rank_involution(pi), _search(n, len(blocks), place))
 
 
 def wset_fpf(pi: FpfInvolution) -> WSet:
@@ -218,37 +233,24 @@ def wset_fpf(pi: FpfInvolution) -> WSet:
 
     Members are exactly the concatenations of the two-element blocks
     [a_t, b_t] in which block t stays before block u whenever a_t < a_u
-    and b_t < b_u; the backtracking below emits each linear extension of
-    that precedence once.
+    and b_t < b_u.  Step t writes a block at slots 2t and 2t+1: scanning
+    the unplaced blocks in order of a, it may take each block whose b is
+    below the running minimum of the b's scanned so far.  So each linear
+    extension of that precedence is emitted once.
 
     >>> pi = FpfInvolution.from_cycles(4, [(1, 4), (2, 3)])
     >>> [w.as_text(compact=True) for w in wset_fpf(pi).members]
     ['1423', '2314']
     """
-    blocks = pi.cycles
-    k = len(blocks)
-    results: list[Permutation] = []
-    used = [False] * k
-    order: list[int] = []
 
-    def extend() -> None:
-        if len(order) == k:
-            results.append(Permutation(tuple(v for t in order for v in blocks[t])))
-            return
-        for t in range(k):
-            if used[t]:
-                continue
-            # blocks are sorted by a, so only earlier blocks can be forced first
-            if any(not used[u] and blocks[u][1] < blocks[t][1] for u in range(t)):
-                continue
-            used[t] = True
-            order.append(t)
-            extend()
-            order.pop()
-            used[t] = False
+    def place(t: int, word: list[int], pos: list[int]) -> Iterator[_Choice]:
+        low = pi.n + 1
+        for a, b in pi.cycles:
+            if pos[a] < 0 and b < low:
+                low = b
+                yield (2 * t, a), (2 * t + 1, b)
 
-    extend()
-    return _collect(pi, rank_fpf(pi), results)
+    return _collect(pi, rank_fpf(pi), _search(pi.n, len(pi.cycles), place))
 
 
 def wstar(n: int) -> Permutation:
@@ -321,8 +323,7 @@ def wset_clan(pi: Clan) -> WSet:
         ]
         return out
 
-    words = completions(frozenset(range(1, pi.n + 1)))
-    return _collect(pi, rank_clan(pi), (Permutation(t) for t in words))
+    return _collect(pi, rank_clan(pi), completions(frozenset(range(1, pi.n + 1))))
 
 
 def wset_direct(family: str, x: Element) -> WSet:
@@ -341,33 +342,33 @@ def wset_direct(family: str, x: Element) -> WSet:
 
 
 # chain products per poset, dropped together with the poset
-_PRODUCTS: "weakref.WeakKeyDictionary[WeakOrderPoset, list[set[Permutation]]]" = (
+_PRODUCTS: "weakref.WeakKeyDictionary[WeakOrderPoset, list[set[tuple[int, ...]]]]" = (
     weakref.WeakKeyDictionary()
 )
 
 
-def _chain_products(P: WeakOrderPoset) -> "list[set[Permutation]]":
+def _chain_products(P: WeakOrderPoset) -> "list[set[tuple[int, ...]]]":
     """Chain products for every element of P at once, cached per poset.
 
-    One upward sweep in index order (a topological order): the products of
-    an element extend those of each lower neighbor by one letter per label.
+    One upward sweep in index order (a topological order, the bottom
+    first): the products of an element extend those of each lower neighbor
+    by one letter per label.  The letter s_i acts on the left, so it swaps
+    the values i and i+1 of the one-line word.
     """
     cached = _PRODUCTS.get(P)
     if cached is not None:
         return cached
-    n = P.bottom.n
-    products: list[set[Permutation]] = [set() for _ in P.elements]
-    products[P.index_of(P.bottom)] = {identity(n)}
-    for j in range(len(P.elements)):
-        got = products[j]
-        if not got:
-            continue
+    products: list[set[tuple[int, ...]]] = [set() for _ in P.elements]
+    products[0].add(tuple(range(1, P.bottom.n + 1)))
+    for j, got in enumerate(products):
         for k in P.up[j]:
             e = P.edges[k]
             target = products[e.hi]
             for i in e.labels:
                 for w in got:
-                    target.add(apply_simple_left(i, w))
+                    u = list(w)
+                    u[w.index(i)], u[w.index(i + 1)] = i + 1, i
+                    target.add(tuple(u))
     _PRODUCTS[P] = products
     return products
 
@@ -375,16 +376,11 @@ def _chain_products(P: WeakOrderPoset) -> "list[set[Permutation]]":
 def wset_oracle(P: WeakOrderPoset, x: Element) -> WSet:
     """Brute-force W-set of x: all products over labeled maximal chains.
 
-    Certifies the direct constructions; every product comes out at length
-    rank(x) (checked), so no length filtering happens.
+    Certifies the direct constructions.  Every product comes out at length
+    rank(x), which ``WSet`` checks, so no length filtering happens.
     """
     j = P.index_of(x)
-    members = _chain_products(P)[j]
-    rank = P.ranks[j]
-    for w in members:
-        if length(w) != rank:
-            raise RuntimeError(f"chain product {w} of {x.text()} misses rank {rank}")
-    return _collect(x, rank, members)
+    return _collect(x, P.ranks[j], _chain_products(P)[j])
 
 
 def chain_count_identity(P: WeakOrderPoset, x: Element) -> tuple[int, int, bool]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given
 
@@ -59,7 +61,7 @@ class TestWSetContainer:
         # fault that must surface, not be merged away
         import weakorder.wsets
 
-        w = Permutation((2, 1, 3))
+        w = (2, 1, 3)
         with pytest.raises(ValueError, match="duplicate-free"):
             weakorder.wsets._collect(inv(3, (1, 2)), 1, [w, w])
 
@@ -202,6 +204,32 @@ class TestConditionFilters:
         assert [w.word for w in got.members] == [(2, 3, 1) + tail, (3, 1, 2) + tail]
         assert elapsed < 5.0
 
+    @pytest.mark.parametrize(
+        "head, orders",
+        [
+            (((1, 2), (3, 4)), [(1, 2, 3, 4)]),  # the fpf bottom
+            (((1, 4), (2, 3)), [(1, 4, 2, 3), (2, 3, 1, 4)]),
+        ],
+    )
+    def test_long_fpf_is_fast(self, head, orders) -> None:
+        # 1000 blocks on the explicit stack, not 1000 nested calls
+        import time
+
+        tail = tuple(range(5, 2001))
+        pi = FpfInvolution.from_cycles(2000, [*head, *zip(tail[::2], tail[1::2])])
+        start = time.perf_counter()
+        got = wset_fpf(pi)
+        elapsed = time.perf_counter() - start
+        assert [w.word for w in got.members] == [order + tail for order in orders]
+        assert elapsed < 5.0
+
+    def test_cli_fpf_bottom_exits_0(self, capsys) -> None:
+        from weakorder.cli import run
+
+        bottom = bottom_element("fpf", 2000)
+        assert run(["wset", "--family", "fpf", "--element", bottom.text()]) == 0
+        assert capsys.readouterr().out == "[" + ",".join(map(str, range(1, 2001))) + "]\n"
+
     @given(involution_strategy())
     def test_members_are_sound(self, pi: Involution) -> None:
         ws = wset_involution(pi)
@@ -242,8 +270,31 @@ class TestOracleAgreement:
 
         P = build_poset("involution", 3)
         monkeypatch.setattr(weakorder.wsets, "length", lambda w: -1)
-        with pytest.raises(RuntimeError, match="misses rank"):
-            wset_oracle(P, P.elements[-1])
+        top = P.elements[-1]
+        with pytest.raises(ValueError, match=rf"of {re.escape(top.text())} has length -1"):
+            wset_oracle(P, top)
+
+    def test_oracle_converts_and_measures_each_member_once(self, monkeypatch) -> None:
+        import weakorder.wsets
+
+        P = build_poset("involution", 5)
+        (top,) = P.maximal_elements()
+        lengths, conversions = [], []
+        measure, convert = weakorder.wsets.length, Permutation.__post_init__
+
+        def counted_length(w: Permutation) -> int:
+            lengths.append(w)
+            return measure(w)
+
+        def counted_convert(w: Permutation) -> None:
+            conversions.append(w)
+            convert(w)
+
+        monkeypatch.setattr(weakorder.wsets, "length", counted_length)
+        monkeypatch.setattr(Permutation, "__post_init__", counted_convert)
+        ws = wset_oracle(P, top)
+        assert len(ws) == 8
+        assert lengths == conversions == list(ws.members)
 
     def test_oracle_memo_lives_with_the_poset(self) -> None:
         import gc
