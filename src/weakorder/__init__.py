@@ -57,19 +57,19 @@ from .posets import (
     WeakOrderPoset,
     build_lower_interval,
     build_poset,
+    chain_count_identity,
     count_chains_below,
     count_maximal_chains,
     drop_cover_types,
     lower_interval,
     maximal_chains,
     verify_graded,
+    wset_direct,
 )
 from .wsets import (
     WSet,
-    chain_count_identity,
     check_conditions_involution,
     wset_clan,
-    wset_direct,
     wset_fpf,
     wset_involution,
     wset_oracle,

@@ -39,8 +39,9 @@ from .posets import (
     count_chains_below,
     maximal_chains,
     verify_graded,
+    wset_direct,
 )
-from .wsets import wset_direct, wset_oracle
+from .wsets import wset_oracle
 
 __all__ = ["parse_element", "export_dot", "export_json", "run", "main"]
 

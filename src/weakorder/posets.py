@@ -9,8 +9,8 @@ rank-monotone: every edge points from a lower index to a strictly higher
 one, and dynamic programs can sweep the element list in order.
 
 What differs between the three families (element type, cover moves, rank,
-closed-form count, size parameters) sits in one private table, ``_FAMILY``,
-keyed by the names in ``FAMILIES``.
+direct W-set construction, closed-form count, size parameters) sits in one
+private table, ``_FAMILY``, keyed by the names in ``FAMILIES``.
 
 Edges are merged per element pair: an edge carries the sorted tuple of all
 labels i realizing the cover, with the per-label cover types kept parallel.
@@ -59,6 +59,8 @@ from .matchings import (
     downward_covers_fpf,
     downward_covers_involution,
 )
+from .permutations import count_reduced_words
+from .wsets import WSet, wset_clan, wset_fpf, wset_involution
 
 __all__ = [
     "Element",
@@ -75,6 +77,8 @@ __all__ = [
     "count_maximal_chains",
     "verify_graded",
     "drop_cover_types",
+    "wset_direct",
+    "chain_count_identity",
 ]
 
 Element = Union[Involution, FpfInvolution, Clan]
@@ -91,24 +95,26 @@ class _Family:
     up: Callable[[Word], Moves]
     down: Callable[[Word], Moves]
     rank: Callable[[Element], int]
+    wset: Callable[[Element], WSet]
     count: Callable[[int | tuple[int, int]], int]
     param_of: Callable[[Element], int | tuple[int, int]]
     # the size parameters of the family's posets on n vertices
     params: Callable[[int], list[int | tuple[int, int]]]
 
 
+# lambdas look each wset_* up in this module per call, so wrappers set there apply
 _FAMILY = {
     "involution": _Family(
-        Involution, _up_involution, downward_covers_involution,
-        rank_involution, involution_count, lambda x: x.n, lambda n: [n],
+        Involution, _up_involution, downward_covers_involution, rank_involution,
+        lambda x: wset_involution(x), involution_count, lambda x: x.n, lambda n: [n],
     ),
     "fpf": _Family(
-        FpfInvolution, _up_fpf, downward_covers_fpf,
-        rank_fpf, fpf_count, lambda x: x.n, lambda n: [n] if n % 2 == 0 else [],
+        FpfInvolution, _up_fpf, downward_covers_fpf, rank_fpf, lambda x: wset_fpf(x),
+        fpf_count, lambda x: x.n, lambda n: [n] if n % 2 == 0 else [],
     ),
     "clan": _Family(
-        Clan, _up_clan, downward_covers_clan,
-        rank_clan, lambda pq: clan_count(*pq), lambda x: (x.p, x.q),
+        Clan, _up_clan, downward_covers_clan, rank_clan, lambda x: wset_clan(x),
+        lambda pq: clan_count(*pq), lambda x: (x.p, x.q),
         lambda n: [(p, n - p) for p in range(1, n)],
     ),
 }
@@ -515,3 +521,27 @@ def drop_cover_types(P: WeakOrderPoset, kinds: Iterable[CoverType]) -> WeakOrder
     return WeakOrderPoset(
         P.family, P.param, P.elements, P.ranks, tuple(edges), complete=False
     )
+
+
+def wset_direct(family: str, x: Element) -> WSet:
+    """The family's direct (poset-free) W-set construction, applied to x.
+
+    The element type must match the family exactly: the same two-cycles get
+    different W-sets in different families, so a silent cross-family call
+    would return a wrong answer rather than fail.
+    """
+    return _family_of(family, x).wset(x)
+
+
+def chain_count_identity(P: WeakOrderPoset, x: Element) -> tuple[int, int, bool]:
+    """Count the maximal chains below x two independent ways.
+
+    Left: dynamic program over the Hasse diagram.  Right: total number of
+    reduced words over the direct W-set, which never sees the poset.  The
+    two agree exactly when the chains are parameterized by those reduced
+    words.
+    """
+    chains = count_maximal_chains(P, x)
+    direct = wset_direct(P.family, x)
+    words = sum(count_reduced_words(w) for w in direct.members)
+    return chains, words, chains == words

@@ -20,11 +20,11 @@ Each family also admits a direct construction that never touches the poset:
   opposite-sign pair of isolated vertices to the outer free slots (large end
   left), until only same-sign isolated vertices remain in the middle.
 
-The two placement constructions run on one explicit-stack loop,
-``_search``, so neither recurses; clan peeling recurses over a memo table
-keyed by the set of vertices still to write.  All of them, and the oracle,
-work on one-line tuples: ``_collect`` turns each member into a
-``Permutation`` once, and ``WSet`` checks each member's length once.
+All three constructions are placement rules on one explicit-stack loop,
+``_search``, so none recurses.  They, and the oracle, work on one-line
+tuples: ``_collect`` turns each member into a ``Permutation`` once, and
+``WSet`` checks each member's length once.  ``posets.wset_direct`` picks
+the family's construction.
 
 Each direct construction reaches every member once, so none deduplicates:
 ``WSet`` rejects a repeated member.  ``wset_oracle`` computes the same sets
@@ -41,7 +41,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .involutions import (
     Clan,
@@ -51,8 +51,10 @@ from .involutions import (
     rank_fpf,
     rank_involution,
 )
-from .permutations import Permutation, count_reduced_words, length
-from .posets import Element, WeakOrderPoset, _family_of, count_maximal_chains
+from .permutations import Permutation, length
+
+if TYPE_CHECKING:
+    from .posets import Element, WeakOrderPoset
 
 __all__ = [
     "WSet",
@@ -60,10 +62,8 @@ __all__ = [
     "wset_involution",
     "wset_fpf",
     "wset_clan",
-    "wset_direct",
     "wstar",
     "wset_oracle",
-    "chain_count_identity",
 ]
 
 
@@ -273,14 +273,16 @@ def wstar(n: int) -> Permutation:
 def wset_clan(pi: Clan) -> WSet:
     """Direct W-set of a clan, by the outside-in peeling procedure.
 
-    A holds the vertices not yet written.  Each step writes one value into
-    the leftmost and one into the rightmost free slot: either a strand with
-    both endpoints in A and nested inside no strand with both endpoints in
-    A (small endpoint left), or two isolated vertices of opposite sign,
-    adjacent in A and likewise nested in no such strand (large one left).
-    When A holds only same-sign isolated vertices they fill the middle in
-    increasing order.  Completions depend only on A, so they are memoized
-    per remaining-vertex set.
+    A holds the vertices not yet written.  Each of the min(p, q) peeling
+    steps writes one value into the leftmost and one into the rightmost free
+    slot: either a strand with both endpoints in A and nested inside no
+    strand with both endpoints in A (small endpoint left), or two isolated
+    vertices of opposite sign, adjacent in A and likewise nested in no such
+    strand (large one left).  Then A holds only same-sign isolated vertices,
+    and they fill the middle in increasing order.  A step is one scan of A
+    in increasing order keeping ``reach``, the largest right end of a strand
+    opened so far: strand (v, w) is a choice iff reach < w (at a right end,
+    reach >= v > w), and the pair (prev, v) iff reach < v.
 
     The peeling is injective: distinct choice sequences give distinct words.
     A step fixes the outermost free pair of letters, and the choices at one
@@ -292,53 +294,30 @@ def wset_clan(pi: Clan) -> WSet:
     >>> [w.as_text(compact=True) for w in wset_clan(c).members]
     ['2341', '3142']
     """
+    n, last = pi.n, min(pi.p, pi.q)
+    mate = [0] * (n + 1)
+    for a, b in pi.cycles:
+        mate[a], mate[b] = b, a
     sign = dict(pi.signed_fixed_points)
-    strands = pi.cycles
-    memo: dict[frozenset[int], list[tuple[int, ...]]] = {}
 
-    def completions(A: frozenset[int]) -> list[tuple[int, ...]]:
-        got = memo.get(A)
-        if got is not None:
-            return got
-        live = [(a, b) for a, b in strands if a in A and b in A]
+    def peel(t: int, word: list[int], pos: list[int]) -> Iterator[_Choice]:
+        if t == last:
+            yield tuple(zip(range(t, n - t), [v for v in range(1, n + 1) if pos[v] < 0]))
+            return
+        reach = prev = 0
+        for v in range(1, n + 1):
+            if pos[v] >= 0:
+                continue
+            w = mate[v]
+            if w:
+                if reach < w:
+                    yield (t, v), (n - 1 - t, w)
+                    reach = w
+            elif sign.get(prev) == -sign[v] and reach < v:
+                yield (t, v), (n - 1 - t, prev)
+            prev = v
 
-        def nested(x: int, y: int) -> bool:
-            return any(c < x and y < d for c, d in live)
-
-        if not live and len({sign[v] for v in A}) <= 1:
-            out = memo[A] = [tuple(sorted(A))]
-            return out
-        choices: list[tuple[int, int]] = []
-        for a, b in live:
-            if not nested(a, b):
-                choices.append((a, b))
-        ordered = sorted(A)
-        for x, y in zip(ordered, ordered[1:]):
-            if x in sign and y in sign and sign[x] != sign[y] and not nested(x, y):
-                choices.append((y, x))
-        out = memo[A] = [
-            (left,) + mid + (right,)
-            for left, right in choices
-            for mid in completions(A - {left, right})
-        ]
-        return out
-
-    return _collect(pi, rank_clan(pi), completions(frozenset(range(1, pi.n + 1))))
-
-
-def wset_direct(family: str, x: Element) -> WSet:
-    """Dispatch to the family's direct (poset-free) W-set construction.
-
-    The element type must match the family exactly: the same two-cycles get
-    different W-sets in different families, so a silent cross-family call
-    would return a wrong answer rather than fail.
-    """
-    _family_of(family, x)
-    if family == "involution":
-        return wset_involution(x)
-    if family == "fpf":
-        return wset_fpf(x)
-    return wset_clan(x)
+    return _collect(pi, rank_clan(pi), _search(n, last + 1, peel))
 
 
 # chain products per poset, dropped together with the poset
@@ -381,17 +360,3 @@ def wset_oracle(P: WeakOrderPoset, x: Element) -> WSet:
     """
     j = P.index_of(x)
     return _collect(x, P.ranks[j], _chain_products(P)[j])
-
-
-def chain_count_identity(P: WeakOrderPoset, x: Element) -> tuple[int, int, bool]:
-    """Count the maximal chains below x two independent ways.
-
-    Left: dynamic program over the Hasse diagram.  Right: total number of
-    reduced words over the direct W-set, which never sees the poset.  The
-    two agree exactly when the chains are parameterized by those reduced
-    words.
-    """
-    chains = count_maximal_chains(P, x)
-    direct = wset_direct(P.family, x)
-    words = sum(count_reduced_words(w) for w in direct.members)
-    return chains, words, chains == words

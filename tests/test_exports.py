@@ -1,8 +1,10 @@
-"""Every name a module exports resolves, so removals leave no stale entries."""
+"""Every name a module exports resolves, and each module imports only earlier layers."""
 
 from __future__ import annotations
 
+import ast
 import importlib
+import pathlib
 
 import pytest
 
@@ -31,3 +33,19 @@ def test_star_import() -> None:
     import weakorder
 
     assert set(weakorder.__all__) <= set(scope)
+
+
+# each module may import only the modules before it, at run time
+LAYERS = ["permutations", "involutions", "matchings", "wsets", "posets", "cli"]
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_imports_follow_the_layers(name: str) -> None:
+    path = pathlib.Path(importlib.import_module("weakorder").__file__).parent / f"{name}.py"
+    later = set(LAYERS[LAYERS.index(name) + 1 :])
+    bad = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = [node.module] if node.module else [a.name for a in node.names]
+            bad += [f"line {node.lineno}: .{m}" for m in names if m in later]
+    assert not bad, f"{name} imports a later layer: {bad}"

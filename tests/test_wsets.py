@@ -141,6 +141,29 @@ class TestKnownClanSets:
             "245631", "425613", "451623"
         )
 
+    @pytest.mark.parametrize("m", [500, 1000])
+    def test_deep_clan_is_fast(self, m) -> None:
+        # m peeling steps on the explicit stack, not m nested calls; the
+        # only choice at each step is the innermost +/- pair
+        import time
+
+        pi = Clan.from_parts(2 * m, [], {v: 1 if v <= m else -1 for v in range(1, 2 * m + 1)})
+        start = time.perf_counter()
+        got = wset_clan(pi)
+        elapsed = time.perf_counter() - start
+        assert [w.word for w in got.members] == [
+            tuple(range(m + 1, 2 * m + 1)) + tuple(range(1, m + 1))
+        ]
+        assert elapsed < 5.0
+
+    def test_cli_deep_clan_exits_0(self, capsys) -> None:
+        from weakorder.cli import run
+
+        text = "".join(f"({v}{'+' if v <= 1000 else '-'})" for v in range(1, 2001))
+        assert run(["wset", "--family", "clan", "--element", text]) == 0
+        word = [*range(1001, 2001), *range(1, 1001)]
+        assert capsys.readouterr().out == "[" + ",".join(map(str, word)) + "]\n"
+
 
 class TestConditionFilters:
     def test_frozen_checks(self) -> None:
@@ -320,6 +343,36 @@ class TestOracleAgreement:
             wset_direct("involution", FpfInvolution.from_cycles(4, [(1, 2), (3, 4)]))
         with pytest.raises(ValueError):
             wset_direct("poset", pi)
+
+    @pytest.mark.parametrize(
+        "family, name, args",
+        [
+            ("involution", "wset_involution", ["--element", "(1,3)", "--n", "4"]),
+            ("fpf", "wset_fpf", ["--element", "(1,3)(2,4)"]),
+            ("clan", "wset_clan", ["--element", "(1+)(2,3)(4-)"]),
+        ],
+    )
+    def test_dispatch_looks_up_each_construction_per_call(
+        self, monkeypatch, capsys, family, name, args
+    ) -> None:
+        # bench/tracing.py wraps the constructions by module attribute, so
+        # the family table must not hold the function objects themselves
+        import weakorder.posets
+        from weakorder.cli import parse_element, run
+
+        calls = []
+        original = getattr(weakorder.posets, name)
+
+        def counted(x):
+            calls.append(x)
+            return original(x)
+
+        monkeypatch.setattr(weakorder.posets, name, counted)
+        x = parse_element(args[1], family, n=4)
+        assert wset_direct(family, x) == original(x)
+        assert run(["wset", "--family", family, *args]) == 0
+        capsys.readouterr()
+        assert calls == [x, x]
 
 
 class TestClanSymmetry:
