@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import re
 import sys
 
@@ -141,13 +142,10 @@ def export_dot(P: WeakOrderPoset) -> str:
         f'  label="{_describe(P.family, P.param)}";',
         "  node [shape=plaintext];",
     ]
-    for j, e in enumerate(P.elements):
-        lines.append(f'  {j} [label="{e.text()}"];')
+    lines += [f'  {j} [label="{e.text()}"];' for j, e in enumerate(P.elements)]
     for e in P.edges:
-        attrs = ['label="' + ",".join(str(i) for i in e.labels) + '"']
-        if all(t is CoverType.II for t in e.types):
-            attrs.append("style=bold")
-        lines.append(f"  {e.lo} -> {e.hi} [{', '.join(attrs)}];")
+        bold = ", style=bold" if all(t is CoverType.II for t in e.types) else ""
+        lines.append(f'  {e.lo} -> {e.hi} [label="{",".join(map(str, e.labels))}"{bold}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -158,26 +156,44 @@ def _params_json(family: str, param: "int | tuple[int, int]") -> dict[str, int]:
     return {"n": param}
 
 
+def _array(rows: "list[str]", pad: str) -> str:
+    """Encoded rows as the JSON array ``json.dumps(..., indent=2)`` lays out
+    with its closing bracket indented by ``pad``."""
+    return "[\n" + ",\n".join(rows) + "\n" + pad + "]" if rows else "[]"
+
+
+# each cover type as a JSON string on its own line of an edge's "types"
+_TYPE_ROW = {t: f"        {json.dumps(str(t))}" for t in CoverType}
+
+
 def export_json(P: WeakOrderPoset) -> str:
-    """JSON dump of the poset: elements with ids and ranks, labeled edges."""
-    payload = {
-        "family": P.family,
-        "params": _params_json(P.family, P.param),
-        "elements": [
-            {"id": j, "text": e.text(), "rank": P.ranks[j]}
-            for j, e in enumerate(P.elements)
-        ],
-        "edges": [
-            {
-                "lo": e.lo,
-                "hi": e.hi,
-                "labels": list(e.labels),
-                "types": [str(t) for t in e.types],
-            }
-            for e in P.edges
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """JSON dump of the poset: elements with ids and ranks, labeled edges.
+
+    Byte for byte ``json.dumps(payload, indent=2) + "\\n"`` of the nested
+    payload, written row by row: with ``indent`` set, ``json`` takes its
+    pure-Python encoder, so only the strings go through the C-backed
+    ``json.dumps(str)``.
+    """
+    params = [
+        f"    {json.dumps(k)}: {v}" for k, v in _params_json(P.family, P.param).items()
+    ]
+    elements = [
+        f'    {{\n      "id": {j},\n      "text": {json.dumps(e.text())},\n'
+        f'      "rank": {r}\n    }}'
+        for j, (e, r) in enumerate(zip(P.elements, P.ranks))
+    ]
+    edges = [
+        f'    {{\n      "lo": {e.lo},\n      "hi": {e.hi},\n'
+        f'      "labels": {_array([f"        {i}" for i in e.labels], "      ")},\n'
+        f'      "types": {_array([_TYPE_ROW[t] for t in e.types], "      ")}\n    }}'
+        for e in P.edges
+    ]
+    return (
+        f'{{\n  "family": {json.dumps(P.family)},\n'
+        f'  "params": {{\n' + ",\n".join(params) + "\n  },\n"
+        f'  "elements": {_array(elements, "  ")},\n'
+        f'  "edges": {_array(edges, "  ")}\n}}\n'
+    )
 
 
 def _element_from_args(args: argparse.Namespace) -> Element:
@@ -245,8 +261,22 @@ def _cmd_chains(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_size(family: str, param: "int | tuple[int, int]", limit: int) -> None:
+    """Raise ValueError if the closed-form element count is above ``limit``."""
+    count = _family(family).count(param)
+    if count > limit:
+        # str() refuses ints of more than 4300 digits, and no one reads them
+        amount = str(count) if count < 10**30 else f"about 10^{round(math.log10(count))}"
+        raise ValueError(
+            f"{_describe(family, param)} has {amount} elements, "
+            f"above --max-elements {limit}"
+        )
+
+
 def _cmd_hasse(args: argparse.Namespace) -> int:
-    P = build_poset(args.family, _param_from_flags(args))
+    param = _param_from_flags(args)
+    _check_size(args.family, param, args.max_elements)
+    P = build_poset(args.family, param)
     sys.stdout.write(export_json(P) if args.json else export_dot(P))
     return 0
 
@@ -272,15 +302,21 @@ def _only(mine: tuple, theirs: tuple, side: str) -> str:
 # the size cap of a bare ``verify`` per family: n, or p+q for clans
 _VERIFY_CAPS = {"involution": 6, "fpf": 8, "clan": 6}
 
+# the default element limit of ``hasse`` and ``verify``: it admits
+# involutions n <= 12, fpf n <= 14 and clans p+q <= 11
+_MAX_ELEMENTS = 250_000
+
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     families = FAMILIES if args.family == "all" else (args.family,)
-    jobs = [
-        (fam, param)
-        for fam in families
-        for n in range(1, (_VERIFY_CAPS[fam] if args.n is None else args.n) + 1)
-        for param in _family(fam).params(n)
-    ]
+    jobs = []
+    # every job passes the size guard before any is built; counts grow with
+    # n, so a huge cap stops at its first job above the limit
+    for fam in families:
+        for n in range(1, (_VERIFY_CAPS[fam] if args.n is None else args.n) + 1):
+            for param in _family(fam).params(n):
+                _check_size(fam, param, args.max_elements)
+                jobs.append((fam, param))
     if not jobs:
         raise ValueError(f"--family {args.family} --n {args.n} leaves nothing to verify")
     failures: list[str] = []
@@ -334,6 +370,16 @@ def _add_size_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--q", type=int, help="clan signature, minus part")
 
 
+def _add_max_elements(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument(
+        "--max-elements",
+        type=int,
+        default=_MAX_ELEMENTS,
+        help="refuse (exit 2) a poset whose closed-form element count is above "
+        f"this, before building anything (default {_MAX_ELEMENTS})",
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weakorder",
@@ -359,12 +405,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("hasse", help="export a whole poset as DOT or JSON")
     sp.add_argument("--family", **fam)
     _add_size_args(sp)
+    _add_max_elements(sp)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(handler=_cmd_hasse)
 
     sp = sub.add_parser("verify", help="gradedness and W-set oracle checks")
     sp.add_argument("--family", choices=["inv", *FAMILIES, "all"], default="all")
     sp.add_argument("--n", type=int, help="size cap (p+q for clans)")
+    _add_max_elements(sp)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(handler=_cmd_verify)
 

@@ -295,10 +295,13 @@ def _conjugate(i: int, m: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _involution_from_map(m: tuple[int, ...], family: type) -> Involution:
-    n = len(m)
-    cycles = tuple((i, m[i - 1]) for i in range(1, n + 1) if m[i - 1] > i)
-    fixed = tuple(i for i in range(1, n + 1) if m[i - 1] == i)
-    return family(n, cycles, fixed)
+    cycles, fixed = [], []
+    for i, v in enumerate(m, 1):
+        if v > i:
+            cycles.append((i, v))
+        elif v == i:
+            fixed.append(i)
+    return family(len(m), tuple(cycles), tuple(fixed))
 
 
 def one_line_word(x: "Involution | Clan") -> tuple[int, ...]:
@@ -324,12 +327,13 @@ def element_of_word(family: str, m: tuple[int, ...]) -> "Involution | Clan":
     if family == "fpf":
         return _involution_from_map(m, FpfInvolution)
     if family == "clan":
-        n = len(m)
-        cycles = tuple((i, m[i - 1]) for i in range(1, n + 1) if m[i - 1] > i)
-        signed = tuple(
-            (i, 1 if m[i - 1] > 0 else -1) for i in range(1, n + 1) if abs(m[i - 1]) == i
-        )
-        return Clan(n, cycles, signed)
+        cycles, signed = [], []
+        for i, v in enumerate(m, 1):
+            if v > i:
+                cycles.append((i, v))
+            elif v == i or v == -i:
+                signed.append((i, 1 if v > 0 else -1))
+        return Clan(len(m), tuple(cycles), tuple(signed))
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -474,8 +478,8 @@ def fpf_count(n: int) -> int:
     >>> fpf_count(8)
     105
     """
-    if n % 2:
-        raise ValueError(f"n must be even, got {n}")
+    if n < 2 or n % 2:
+        raise ValueError(f"n must be a positive even integer, got {n}")
     return _double_factorial_odd(n // 2)
 
 

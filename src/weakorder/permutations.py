@@ -214,37 +214,50 @@ def evaluate_word(letters: tuple[int, ...], n: int) -> Permutation:
     return u
 
 
+def _peelings(u: Permutation) -> dict[Permutation, list[tuple[int, Permutation]]]:
+    """Every permutation reached from u by peeling left descents, each with
+    its (j, s_j o w) peelings, breadth-first from u.
+
+    Each peeling lowers the length by exactly 1, so breadth-first order is
+    decreasing length and the reversed order runs from the identity up:
+    every permutation comes after all of its peelings.
+    """
+    peel: dict[Permutation, list[tuple[int, Permutation]]] = {}
+    seen = {u}
+    frontier = [u]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            peel[w] = got = [(j, apply_simple_left(j, w)) for j in left_descents(w)]
+            for _, v in got:
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return peel
+
+
 def reduced_words(u: Permutation) -> set[ReducedWord]:
     """All reduced words for u, found by peeling left descents.
 
     A word ``(j,) + rest`` is reduced for u exactly when j is a left descent
-    of u and ``rest`` is reduced for s_j o u.  Results are memoized within a
-    single call.
+    of u and ``rest`` is reduced for s_j o u.  One sweep from the identity
+    up through ``_peelings`` fills in every permutation below u, so a long
+    u needs no recursion.
 
     >>> reduced_words(identity(3))
     {()}
     >>> sorted(reduced_words(Permutation((3, 2, 1))))
     [(1, 2, 1), (2, 1, 2)]
     """
-    memo: dict[tuple[int, ...], frozenset[ReducedWord]] = {}
-
-    def rec(w: Permutation) -> frozenset[ReducedWord]:
-        cached = memo.get(w.word)
-        if cached is not None:
-            return cached
-        descents = left_descents(w)
-        if not descents:
-            result = frozenset({()})
-        else:
-            result = frozenset(
-                (j,) + rest
-                for j in descents
-                for rest in rec(apply_simple_left(j, w))
-            )
-        memo[w.word] = result
-        return result
-
-    return set(rec(u))
+    peel = _peelings(u)
+    words: dict[Permutation, frozenset[ReducedWord]] = {}
+    for w in reversed(peel):
+        got = peel[w]
+        words[w] = frozenset(
+            (j,) + rest for j, v in got for rest in words[v]
+        ) if got else frozenset({()})
+    return set(words[u])
 
 
 def some_reduced_word(u: Permutation) -> ReducedWord:
@@ -261,22 +274,15 @@ def some_reduced_word(u: Permutation) -> ReducedWord:
 
 
 def count_reduced_words(u: Permutation) -> int:
-    """Number of reduced words for u, without materializing them.
+    """Number of reduced words for u, without materializing them: the sweep
+    of ``reduced_words`` on counts.
 
     >>> count_reduced_words(Permutation((3, 2, 1)))
     2
     """
-    memo: dict[tuple[int, ...], int] = {}
-
-    def rec(w: Permutation) -> int:
-        cached = memo.get(w.word)
-        if cached is not None:
-            return cached
-        descents = left_descents(w)
-        total = 1 if not descents else sum(
-            rec(apply_simple_left(j, w)) for j in descents
-        )
-        memo[w.word] = total
-        return total
-
-    return rec(u)
+    peel = _peelings(u)
+    counts: dict[Permutation, int] = {}
+    for w in reversed(peel):
+        got = peel[w]
+        counts[w] = sum(counts[v] for _, v in got) if got else 1
+    return counts[u]

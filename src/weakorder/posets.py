@@ -255,32 +255,36 @@ def build_poset(family: str, param: "int | tuple[int, int]") -> WeakOrderPoset:
     """
     bottom = one_line_word(bottom_element(family, param))
     depth, covers = _closure(bottom, _family(family).up)
-    links = ((w, i, v) for w, got in covers.items() for i, v in got)
-    return _assemble(family, param, depth, links, complete=True)
+    return _assemble(family, param, depth, covers, upward=True, complete=True)
 
 
 def _assemble(
     family: str,
     param: int | tuple[int, int],
     rank: dict[Word, int],
-    links: Iterable[tuple[Word, int, Word]],
+    covers: dict[Word, Moves],
+    upward: bool,
     complete: bool,
 ) -> WeakOrderPoset:
-    """The poset on the words of ``rank`` with one cover per (lower, label,
-    upper) link: each word decoded once, elements sorted by (rank, text),
-    the labels of one element pair merged into one edge."""
+    """The poset on the words of ``rank`` with one cover per (label, word)
+    move of ``covers``, up from the key if ``upward``, else down to the move's
+    word: each word decoded once, elements sorted by (rank, text), the labels
+    of one element pair merged into one edge."""
     element = {w: element_of_word(family, w) for w in rank}
     order = sorted(rank, key=lambda w: (rank[w], element[w].text()))
     index = {w: j for j, w in enumerate(order)}
     edge_labels: dict[tuple[int, int], list[int]] = {}
-    for lower, i, upper in links:
-        edge_labels.setdefault((index[lower], index[upper]), []).append(i)
+    for w, got in covers.items():
+        j = index[w]
+        for i, v in got:
+            k = index[v]
+            edge_labels.setdefault((j, k) if upward else (k, j), []).append(i)
     edges = []
     for (lo, hi), labels in sorted(edge_labels.items()):
         labels.sort()
         lower = order[lo]
         edges.append(
-            Edge(lo, hi, tuple(labels), tuple(_cover_type(lower, i) for i in labels))
+            Edge(lo, hi, tuple(labels), tuple([_cover_type(lower, i) for i in labels]))
         )
     return WeakOrderPoset(
         family,
@@ -371,8 +375,8 @@ def build_lower_interval(family: str, x: Element) -> WeakOrderPoset:
     depth, covers = _down_closure(family, x)
     top = max(depth.values())
     rank = {w: top - d for w, d in depth.items()}
-    links = ((v, i, w) for w, got in covers.items() for i, v in got)
-    return _assemble(family, _family(family).param_of(x), rank, links, complete=False)
+    param = _family(family).param_of(x)
+    return _assemble(family, param, rank, covers, upward=False, complete=False)
 
 
 def maximal_chains(P: WeakOrderPoset, x: Element) -> Iterator[LabeledChain]:

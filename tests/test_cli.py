@@ -117,6 +117,42 @@ class TestExports:
         assert data["params"] == {"n": 4}
         assert len(data["elements"]) == 3
 
+    @staticmethod
+    def nested_payload_json(P) -> str:
+        """The export as ``json.dumps`` lays out the nested payload."""
+        params = {"p": P.param[0], "q": P.param[1]} if P.family == "clan" else {"n": P.param}
+        payload = {
+            "family": P.family,
+            "params": params,
+            "elements": [
+                {"id": j, "text": e.text(), "rank": P.ranks[j]}
+                for j, e in enumerate(P.elements)
+            ],
+            "edges": [
+                {
+                    "lo": e.lo,
+                    "hi": e.hi,
+                    "labels": list(e.labels),
+                    "types": [str(t) for t in e.types],
+                }
+                for e in P.edges
+            ],
+        }
+        return json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("involution", range(1, 9)),
+            ("fpf", range(2, 11, 2)),
+            ("clan", [(p, n - p) for n in range(2, 8) for p in range(1, n)]),
+        ],
+    )
+    def test_json_writer_matches_nested_payload(self, family, params) -> None:
+        for param in params:
+            P = build_poset(family, param)
+            assert export_json(P) == self.nested_payload_json(P), (family, param)
+
 
 class TestRunWset:
     def test_plain(self, capsys) -> None:
@@ -254,6 +290,9 @@ _HASSE_SHA256 = [
     (("inv", "--n", "7"),
      "fd2c119f889ea494f5c857f54828bd826802e2684f82f8c11456efdece917154",
      "9efe05e79a70e5d6ff615c28510b068fe62c0c9c3e8b7a808870b9ae93904d49"),
+    (("inv", "--n", "8"),
+     "29a6e27481968515934a714db942ad3e08a4435ddcbc7537d64b573abd38bf46",
+     "eefc5d961448b05a4daecbaaa7ee86ac904b20a49cdd1cca183a51a0ca56b545"),
     (("fpf", "--n", "2"),
      "bf4a86a5a3b9453e47b077afc7ce8a1671f7f41cb8fe2be2503467f3ff0ad1b6",
      "f81de07f43107c9dd98b81722cbbd23e08913ea79564e8223c9ebabb6ab7ba96"),
@@ -266,6 +305,9 @@ _HASSE_SHA256 = [
     (("fpf", "--n", "8"),
      "5f67607250053075a825ff945e4b2a783dbde79c9a9b286f7c54d2c3d1e3d224",
      "cff7cd74deaff3b3da7000dc522ac720f53f3a4ed6235b1d81eee1c19693b2d9"),
+    (("fpf", "--n", "10"),
+     "68ce4ecb990efe09aa8653c121191b4c000c2977232da7b736980b71774292cd",
+     "48eff34feb6b41a035ede75c81f163cf83e291c145e49cfcb22c627549cf397b"),
     (("clan", "--p", "1", "--q", "1"),
      "f105e517d6b97b3e0c815d8d12aacaf193be680820ae773b246d06d24f0a6e05",
      "8080a11a4cbf21f2af9daf42a73d6afdd8948e245dcf69d1509f0fec942cac80"),
@@ -452,6 +494,69 @@ class TestRunVerify:
             "involution n=4: W-set mismatch at (1,4)(2,3): "
             "1 only direct ([3,2,4,1]), 0 only oracle"
         ) in err
+
+
+class TestSizeGuard:
+    """``hasse`` and ``verify`` refuse a poset above --max-elements from its
+    closed-form count alone, before anything is built or printed."""
+
+    @pytest.fixture
+    def no_build(self, monkeypatch):
+        import weakorder.cli
+
+        def refuse(family, param):
+            raise AssertionError(f"build_poset({family!r}, {param!r}) called")
+
+        monkeypatch.setattr(weakorder.cli, "build_poset", refuse)
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["hasse", "--family", "inv", "--n", "30"],
+             "error: involution n=30 has 606917269909048576 elements, "
+             "above --max-elements 250000\n"),
+            (["verify", "--family", "inv", "--n", "30"],
+             "error: involution n=13 has 568504 elements, above --max-elements 250000\n"),
+            (["verify", "--n", "40"],
+             "error: involution n=13 has 568504 elements, above --max-elements 250000\n"),
+            (["hasse", "--family", "clan", "--p", "6", "--q", "6", "--json"],
+             "error: clan (p,q)=(6,6) has 845691 elements, above --max-elements 250000\n"),
+            (["hasse", "--family", "fpf", "--n", "2000"],
+             "error: fpf n=2000 has about 10^2867 elements, above --max-elements 250000\n"),
+        ],
+        ids=["hasse-inv-30", "verify-inv-30", "verify-all-40", "hasse-clan-6-6", "hasse-fpf-2000"],
+    )
+    def test_refused_from_the_count(self, capsys, no_build, argv, err) -> None:
+        started = time.perf_counter()
+        assert run(argv) == 2
+        assert time.perf_counter() - started < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == err
+
+    def test_default_admits_the_largest_documented_sizes(self) -> None:
+        import weakorder.cli
+
+        for family, param in [("involution", 12), ("fpf", 14), ("clan", (5, 6))]:
+            weakorder.cli._check_size(family, param, weakorder.cli._MAX_ELEMENTS)
+        with pytest.raises(ValueError, match="involution n=13 has 568504 elements"):
+            weakorder.cli._check_size("involution", 13, weakorder.cli._MAX_ELEMENTS)
+
+    def test_limit_is_inclusive(self, capsys) -> None:
+        # involutions of S_4: 10 elements; the verify jobs of inv --n 4
+        # have 1, 2, 4 and 10
+        assert run(["hasse", "--family", "inv", "--n", "4", "--max-elements", "10"]) == 0
+        assert capsys.readouterr().out.startswith("digraph {")
+        assert run(["hasse", "--family", "inv", "--n", "4", "--max-elements", "9"]) == 2
+        assert capsys.readouterr().err == (
+            "error: involution n=4 has 10 elements, above --max-elements 9\n"
+        )
+        assert run(["verify", "--family", "inv", "--n", "4", "--max-elements", "10"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+        assert run(["verify", "--family", "inv", "--n", "4", "--max-elements", "9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "involution n=4 has 10 elements" in captured.err
 
 
 def test_parser_built_once_per_process(capsys, monkeypatch) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given
@@ -158,6 +159,16 @@ class TestReducedWords:
     def test_counts_without_enumeration(self) -> None:
         for u in all_permutations(5):
             assert count_reduced_words(u) == len(reduced_words(u))
+
+    @pytest.mark.parametrize("fn", [count_reduced_words, reduced_words])
+    def test_long_cycle_does_not_recurse(self, fn) -> None:
+        # the 1200-cycle 2 3 ... 1200 1 has one reduced word, 1 2 ... 1199:
+        # a search recursing once per letter overflows the stack on it
+        u = Permutation(tuple(range(2, 1201)) + (1,))
+        started = time.perf_counter()
+        got = fn(u)
+        assert time.perf_counter() - started < 5
+        assert got == (1 if fn is count_reduced_words else {tuple(range(1, 1200))})
 
 
 def brute_reduced(word: tuple[int, ...], n: int) -> bool:
