@@ -228,12 +228,7 @@ def rank_fpf(pi: FpfInvolution) -> int:
     >>> rank_fpf(FpfInvolution.from_cycles(6, [(1, 6), (2, 5), (3, 4)]))
     6
     """
-    flat = [v for ab in pi.cycles for v in ab]
-    return sum(
-        1
-        for i, j in itertools.combinations(range(len(flat)), 2)
-        if flat[i] > flat[j]
-    )
+    return length(Permutation(tuple(v for ab in pi.cycles for v in ab)))
 
 
 def rank_clan(pi: Clan) -> int:
@@ -464,12 +459,16 @@ def _double_factorial_odd(k: int) -> int:
 
 
 def involution_count(n: int) -> int:
-    """sum over k of C(n, 2k) * (2k-1)!!.
+    """sum over k of C(n, 2k) * (2k-1)!!, by the ratio (n-2k)(n-2k-1)/(2k+2).
 
     >>> involution_count(6)
     76
     """
-    return sum(comb(n, 2 * k) * _double_factorial_odd(k) for k in range(n // 2 + 1))
+    total = term = 1 if n >= 0 else 0
+    for k in range(n // 2):
+        term = term * (n - 2 * k) * (n - 2 * k - 1) // (2 * k + 2)
+        total += term
+    return total
 
 
 def fpf_count(n: int) -> int:
@@ -484,13 +483,13 @@ def fpf_count(n: int) -> int:
 
 
 def clan_count(p: int, q: int) -> int:
-    """sum over k of C(n, 2k) * (2k-1)!! * C(n-2k, p-k), n = p+q.
+    """sum over k of C(n, 2k) (2k-1)!! C(n-2k, p-k), by the ratio (p-k)(q-k)/(2k+2).
 
     >>> clan_count(2, 2)
     21
     """
-    n = p + q
-    return sum(
-        comb(n, 2 * k) * _double_factorial_odd(k) * comb(n - 2 * k, p - k)
-        for k in range(min(p, q) + 1)
-    )
+    total = term = comb(p + q, p) if min(p, q) >= 0 else 0
+    for k in range(min(p, q)):
+        term = term * (p - k) * (q - k) // (2 * (k + 1))
+        total += term
+    return total

@@ -22,7 +22,7 @@ Conventions, used consistently across the whole package:
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect
 from dataclasses import dataclass
 
 __all__ = [
@@ -164,17 +164,18 @@ def compose(u: Permutation, v: Permutation) -> Permutation:
 
 
 def length(u: Permutation) -> int:
-    """Number of inversions of the one-line word.
+    """Inversions of the one-line word, by bisecting the values seen so far.
 
     >>> length(identity(5)), length(longest_element(4))
     (0, 6)
     """
-    w = u.word
-    return sum(
-        1
-        for i, j in itertools.combinations(range(u.n), 2)
-        if w[i] > w[j]
-    )
+    seen: list[int] = []
+    inversions = 0
+    for v in u.word:
+        i = bisect(seen, v)
+        inversions += len(seen) - i
+        seen.insert(i, v)
+    return inversions
 
 
 def left_descents(u: Permutation) -> set[int]:

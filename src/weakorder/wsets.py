@@ -200,7 +200,16 @@ def wset_involution(pi: Involution) -> WSet:
     - a fixed point takes the first free slot, because every later block
       lands to its right;
     - conditions 2-5 are one rule: an earlier block (a0, b0) with b0 < b
-      has a0 left of the new block's b.
+      has a0 left of the new block's b.  Only earlier cycles are checked:
+      an earlier fixed point took the first free slot, so every later
+      block lands right of it;
+    - a cycle (a, b) leaves at most room(a, b) free slots left of b, the
+      number of values inside (a, b) whose block is nested inside it.
+      Only those values can fill the slots: every later block has a
+      larger smaller end, so one reaching above b puts its larger end
+      (or its fixed point) right of a.  The free slots left of b grow
+      along the scan, so the scan stops at the first that breaks the
+      bound.
 
     So every completed word is a member, and each member is reached once.
     ``_search`` runs the placement.
@@ -211,18 +220,23 @@ def wset_involution(pi: Involution) -> WSet:
     """
     n = pi.n
     blocks = sorted(pi.cycles + tuple((c, c) for c in pi.fixed_points))
+    mate = list(range(n + 1))
+    for a, b in pi.cycles:
+        mate[a], mate[b] = b, a
+    room = [sum(a < mate[v] < b for v in range(a + 1, b)) for a, b in blocks]
 
     def place(t: int, word: list[int], pos: list[int]) -> Iterator[_Choice]:
         a, b = blocks[t]
-        least = max([pos[a0] for a0, b0 in blocks[:t] if b0 < b], default=-1) + 1
+        # an unplaced cycle reads pos -1, so only earlier cycles count
+        least = max([pos[a0] for a0, b0 in pi.cycles if b0 < b], default=-1) + 1
         if a == b:
             first = word.index(0)
             if first >= least:
                 yield ((first, a),)
             return
-        free = [s for s in range(least, n) if not word[s]]
+        free = list(itertools.islice((s for s in range(n) if not word[s]), room[t] + 2))
         for pb, pa in zip(free, free[1:]):
-            if not any(a < v < b for v in word[pb + 1 : pa]):
+            if pb >= least and not any(a < v < b for v in word[pb + 1 : pa]):
                 yield (pb, b), (pa, a)
 
     return _collect(pi, rank_involution(pi), _search(n, len(blocks), place))

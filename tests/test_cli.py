@@ -523,8 +523,14 @@ class TestSizeGuard:
              "error: clan (p,q)=(6,6) has 845691 elements, above --max-elements 250000\n"),
             (["hasse", "--family", "fpf", "--n", "2000"],
              "error: fpf n=2000 has about 10^2867 elements, above --max-elements 250000\n"),
+            (["hasse", "--family", "inv", "--n", "10000"],
+             "error: involution n=10000 has about 10^17872 elements, "
+             "above --max-elements 250000\n"),
         ],
-        ids=["hasse-inv-30", "verify-inv-30", "verify-all-40", "hasse-clan-6-6", "hasse-fpf-2000"],
+        ids=[
+            "hasse-inv-30", "verify-inv-30", "verify-all-40", "hasse-clan-6-6",
+            "hasse-fpf-2000", "hasse-inv-10000",
+        ],
     )
     def test_refused_from_the_count(self, capsys, no_build, argv, err) -> None:
         started = time.perf_counter()

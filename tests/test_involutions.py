@@ -148,6 +148,23 @@ class TestCounts:
             for q in range(1, 4):
                 assert len(brute_clans(p, q)) == clan_count(p, q)
 
+    def test_counts_match_the_binomial_sums(self) -> None:
+        from math import comb, prod
+
+        def odd_double_factorial(k: int) -> int:
+            return prod(range(1, 2 * k, 2))
+
+        for n in range(-2, 61):
+            assert involution_count(n) == sum(
+                comb(n, 2 * k) * odd_double_factorial(k) for k in range(n // 2 + 1)
+            )
+        for p in range(-1, 31):
+            for q in range(-1, 31 - p):
+                assert clan_count(p, q) == sum(
+                    comb(p + q, 2 * k) * odd_double_factorial(k) * comb(p + q - 2 * k, p - k)
+                    for k in range(min(p, q) + 1)
+                )
+
     def test_maximal_clans(self) -> None:
         tops = maximal_clans(2, 2)
         assert len(tops) == 6

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 import time
 
 import pytest
@@ -98,6 +99,27 @@ class TestLengthAndDescents:
     @given(perms())
     def test_length_is_inversion_count(self, u: Permutation) -> None:
         assert length(u) == brute_inversions(u.word)
+
+    def test_length_is_pairwise_count_on_all_small_words(self) -> None:
+        for n in range(1, 8):
+            for u in all_permutations(n):
+                assert length(u) == brute_inversions(u.word)
+
+    def test_length_is_pairwise_count_on_seeded_words(self) -> None:
+        rng = random.Random(60)
+        for _ in range(200):
+            word = rng.sample(range(1, 61), 60)
+            assert length(Permutation(tuple(word))) == brute_inversions(tuple(word))
+
+    def test_long_word_is_fast(self) -> None:
+        n = 3000
+        word = tuple(random.Random(n).sample(range(1, n + 1), n))
+        start = time.perf_counter()
+        got = length(Permutation(word))
+        elapsed = time.perf_counter() - start
+        # reversing a word turns each pair's inversion on or off
+        assert got + length(Permutation(word[::-1])) == n * (n - 1) // 2
+        assert elapsed < 0.5
 
     @given(perms(), st.data())
     def test_left_descent_drops_length(self, u: Permutation, data) -> None:

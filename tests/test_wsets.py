@@ -246,6 +246,24 @@ class TestConditionFilters:
         assert [w.word for w in got.members] == [order + tail for order in orders]
         assert elapsed < 5.0
 
+    def test_far_apart_cycles_are_fast(self) -> None:
+        # the W-sets of (1,3) in S_3 and of (1,4) in S_4, side by side; a
+        # cycle may only leave free slots on its left for blocks nested in it
+        import time
+
+        pi = inv(3000, (1, 3), (2000, 2003))
+        start = time.perf_counter()
+        got = wset_involution(pi)
+        elapsed = time.perf_counter() - start
+        middle, tail = tuple(range(4, 2000)), tuple(range(2004, 3001))
+        expected = [
+            left + middle + tuple(v + 1999 for v in right) + tail
+            for left in [(2, 3, 1), (3, 1, 2)]
+            for right in [(2, 3, 4, 1), (2, 4, 1, 3), (4, 1, 2, 3)]
+        ]
+        assert [w.word for w in got.members] == expected
+        assert elapsed < 2.0
+
     def test_cli_fpf_bottom_exits_0(self, capsys) -> None:
         from weakorder.cli import run
 
