@@ -7,7 +7,7 @@ render it with: dot -Tsvg weakorder_clan_2_2.dot -o poset.svg
 import json
 import pathlib
 
-from weakorder import build_poset, maximal_clans, rank_clan, verify_graded
+from weakorder import build_poset, rank_clan, verify_graded
 from weakorder.cli import export_dot, export_json, run
 
 P = build_poset("clan", (2, 2))
@@ -15,7 +15,7 @@ print(f"clans of signature (2,2): {len(P)} elements, {len(P.edges)} edges")
 print(f"bottom {P.bottom.text()} at rank 0; "
       f"{len(P.maximal_elements())} maximal elements at rank "
       f"{max(rank_clan(x) for x in P.maximal_elements())}:")
-for x in maximal_clans(2, 2):
+for x in P.maximal_elements():
     print(f"  {x.text()}")
 print(f"graded: {verify_graded(P).ok}")
 print()

@@ -25,14 +25,12 @@ from .involutions import (
     element_of_word,
     fpf_count,
     involution_count,
-    maximal_clans,
     one_line_word,
     rank_clan,
     rank_fpf,
     rank_involution,
     rs_step_fpf,
     rs_step_involution,
-    rs_word_action,
     standard_form,
 )
 from .matchings import (
@@ -111,7 +109,6 @@ __all__ = [
     "lower_interval",
     "matching_length",
     "maximal_chains",
-    "maximal_clans",
     "nestings",
     "one_line_word",
     "rank_clan",
@@ -119,7 +116,6 @@ __all__ = [
     "rank_involution",
     "rs_step_fpf",
     "rs_step_involution",
-    "rs_word_action",
     "standard_form",
     "upward_covers_clan",
     "upward_covers_fpf",

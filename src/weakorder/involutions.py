@@ -5,7 +5,8 @@ a_i < b_i, sorted by a_i, plus the sorted tuple of fixed points.  A clan is
 an involution whose fixed points each carry a sign (+1 or -1); the signature
 (p, q) is read off as p = #{+} + #cycles and q = #{-} + #cycles.
 
-The weak order on each of the three families is generated by the monoid step
+The one-line word is the one codec (``one_line_word``, ``element_of_word``).
+The weak order on each family is generated by the monoid step on that word,
 ``rs_step_involution`` / ``rs_step_fpf`` (for clans by the detach and
 conjugation moves on signed words, see the matchings module).  Each step
 either fixes the element or raises its rank by exactly 1.
@@ -19,11 +20,10 @@ either fixes the element or raises its rank by exactly 1.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
-from .permutations import Permutation, compose, identity, length, some_reduced_word
+from .permutations import Permutation, identity, length
 
 __all__ = [
     "Involution",
@@ -35,14 +35,12 @@ __all__ = [
     "rank_clan",
     "rs_step_involution",
     "rs_step_fpf",
-    "rs_word_action",
     "one_line_word",
     "element_of_word",
     "bottom_involution",
     "bottom_fpf",
     "bottom_clan",
     "bottom_element",
-    "maximal_clans",
     "involution_count",
     "fpf_count",
     "clan_count",
@@ -93,10 +91,7 @@ class Involution:
         return len(self.cycles)
 
     def as_permutation(self) -> Permutation:
-        word = list(range(1, self.n + 1))
-        for a, b in self.cycles:
-            word[a - 1], word[b - 1] = b, a
-        return Permutation(tuple(word))
+        return Permutation(one_line_word(self))
 
     def image(self, i: int) -> int:
         for a, b in self.cycles:
@@ -178,10 +173,6 @@ class Clan:
     @property
     def q(self) -> int:
         return len(self.cycles) + sum(1 for _, s in self.signed_fixed_points if s < 0)
-
-    @property
-    def total_charge(self) -> int:
-        return self.p - self.q
 
     def underlying_involution(self) -> Involution:
         return Involution(self.n, self.cycles, tuple(v for v, _ in self.signed_fixed_points))
@@ -289,16 +280,6 @@ def _conjugate(i: int, m: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _involution_from_map(m: tuple[int, ...], family: type) -> Involution:
-    cycles, fixed = [], []
-    for i, v in enumerate(m, 1):
-        if v > i:
-            cycles.append((i, v))
-        elif v == i:
-            fixed.append(i)
-    return family(len(m), tuple(cycles), tuple(fixed))
-
-
 def one_line_word(x: "Involution | Clan") -> tuple[int, ...]:
     """The one-line word of x, entry i being x(i); a clan carries its signs in
     the word, a minus-signed fixed point v reading -v.
@@ -315,21 +296,23 @@ def one_line_word(x: "Involution | Clan") -> tuple[int, ...]:
     return tuple(word)
 
 
+# the element type of each family's words; only a clan reads a signed entry
+_WORD_TYPE = {"involution": Involution, "fpf": FpfInvolution, "clan": Clan}
+
+
 def element_of_word(family: str, m: tuple[int, ...]) -> "Involution | Clan":
     """Inverse of ``one_line_word`` for the named family: involution | fpf | clan."""
-    if family == "involution":
-        return _involution_from_map(m, Involution)
-    if family == "fpf":
-        return _involution_from_map(m, FpfInvolution)
-    if family == "clan":
-        cycles, signed = [], []
-        for i, v in enumerate(m, 1):
-            if v > i:
-                cycles.append((i, v))
-            elif v == i or v == -i:
-                signed.append((i, 1 if v > 0 else -1))
-        return Clan(len(m), tuple(cycles), tuple(signed))
-    raise ValueError(f"unknown family {family!r}")
+    kind = _WORD_TYPE.get(family)
+    if kind is None:
+        raise ValueError(f"unknown family {family!r}")
+    signed = kind is Clan
+    cycles, fixed = [], []
+    for i, v in enumerate(m, 1):
+        if v > i:
+            cycles.append((i, v))
+        elif v == i or (signed and v == -i):
+            fixed.append((i, 1 if v > 0 else -1) if signed else i)
+    return kind(len(m), tuple(cycles), tuple(fixed))
 
 
 def _require(what: str, kind: type, x: object, exact: bool = False) -> None:
@@ -341,16 +324,20 @@ def _require(what: str, kind: type, x: object, exact: bool = False) -> None:
         )
 
 
+def _rs_step(family: str, i: int, pi: Involution) -> Involution:
+    _require(f"rs_step_{family}", _WORD_TYPE[family], pi)
+    if not 1 <= i <= pi.n - 1:
+        raise ValueError(f"step index {i} out of range 1..{pi.n - 1}")
+    return element_of_word(family, _step_map(i, one_line_word(pi)))
+
+
 def rs_step_involution(i: int, pi: Involution) -> Involution:
     """One monoid step at i: the unique cover of pi along label i, or pi itself.
 
     >>> rs_step_involution(1, standard_form(identity(4))).cycles
     ((1, 2),)
     """
-    _require("rs_step_involution", Involution, pi)
-    if not 1 <= i <= pi.n - 1:
-        raise ValueError(f"step index {i} out of range 1..{pi.n - 1}")
-    return _involution_from_map(_step_map(i, one_line_word(pi)), Involution)
+    return _rs_step("involution", i, pi)
 
 
 def rs_step_fpf(i: int, pi: FpfInvolution) -> FpfInvolution:
@@ -359,30 +346,7 @@ def rs_step_fpf(i: int, pi: FpfInvolution) -> FpfInvolution:
     This is the restriction of the all-involutions step: with no fixed
     points available the attach branch never fires.
     """
-    _require("rs_step_fpf", FpfInvolution, pi)
-    if not 1 <= i <= pi.n - 1:
-        raise ValueError(f"step index {i} out of range 1..{pi.n - 1}")
-    return _involution_from_map(_step_map(i, one_line_word(pi)), FpfInvolution)
-
-
-def rs_word_action(w: Permutation, pi: Involution) -> Involution:
-    """Apply the steps of one reduced word of w, rightmost letter first.
-
-    The result does not depend on which reduced word is chosen; that
-    independence is what makes the action well defined, and it is exercised
-    directly by the test suite.
-
-    >>> rs_word_action(Permutation((3, 1, 2)), standard_form(identity(3))).cycles
-    ((1, 3),)
-    """
-    _require("rs_word_action", Involution, pi)
-    if w.n != pi.n:
-        raise ValueError(f"size mismatch: {w.n} vs {pi.n}")
-    family = FpfInvolution if isinstance(pi, FpfInvolution) else Involution
-    m = one_line_word(pi)
-    for i in reversed(some_reduced_word(w)):
-        m = _step_map(i, m)
-    return _involution_from_map(m, family)
+    return _rs_step("fpf", i, pi)
 
 
 def bottom_involution(n: int) -> Involution:
@@ -434,30 +398,6 @@ def bottom_element(family: str, param: "int | tuple[int, int]"):
     raise ValueError(f"unknown family {family!r}")
 
 
-def maximal_clans(p: int, q: int) -> list[Clan]:
-    """All clans with no two-cycles: sign words with p plusses and q minuses.
-
-    These are exactly the maximal elements of the clan order; there are
-    binomial(p+q, p) of them.  Sorted by text for determinism.
-    """
-    if p < 1 or q < 1:
-        raise ValueError(f"signature ({p},{q}) invalid: both p and q must be at least 1")
-    n = p + q
-    out = []
-    for plus in itertools.combinations(range(1, n + 1), p):
-        signed = tuple((v, 1 if v in plus else -1) for v in range(1, n + 1))
-        out.append(Clan(n, (), signed))
-    return sorted(out, key=lambda c: c.text())
-
-
-def _double_factorial_odd(k: int) -> int:
-    # (2k-1)!! with the empty product for k = 0
-    out = 1
-    for v in range(1, 2 * k, 2):
-        out *= v
-    return out
-
-
 def involution_count(n: int) -> int:
     """sum over k of C(n, 2k) * (2k-1)!!, by the ratio (n-2k)(n-2k-1)/(2k+2).
 
@@ -479,7 +419,7 @@ def fpf_count(n: int) -> int:
     """
     if n < 2 or n % 2:
         raise ValueError(f"n must be a positive even integer, got {n}")
-    return _double_factorial_odd(n // 2)
+    return prod(range(1, n, 2))
 
 
 def clan_count(p: int, q: int) -> int:

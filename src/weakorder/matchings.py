@@ -137,19 +137,6 @@ def _up_involution(w: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
     return [(i, v) for i, v in steps if v is not w]
 
 
-def _up_fpf(w: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
-    """The monoid step without fixed points: only types IB, IC1, IC2 occur."""
-    out = _up_involution(w)
-    for i, _ in out:
-        kind = _cover_type(w, i)
-        if kind not in (CoverType.IB, CoverType.IC1, CoverType.IC2):
-            raise RuntimeError(
-                f"fixed-point-free cover of {element_of_word('fpf', w).text()} "
-                f"along {i} has type {kind}"
-            )
-    return out
-
-
 def _up_clan(w: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
     """Detach the strand {i, i+1} into (+,-) then (-,+), or conjugate by s_i
     where the underlying involution descends at i (a sign moving with its
@@ -167,11 +154,27 @@ def _up_clan(w: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
     return out
 
 
+def _cover_types(family: str, w: tuple[int, ...], labels: list[int]) -> tuple[CoverType, ...]:
+    """The type of the move up from w along each label; an fpf cover other
+    than IB/IC1/IC2 is a fault of the step and raises RuntimeError."""
+    kinds = tuple([_cover_type(w, i) for i in labels])
+    if family == "fpf":
+        for i, kind in zip(labels, kinds):
+            if kind not in (CoverType.IB, CoverType.IC1, CoverType.IC2):
+                raise RuntimeError(
+                    f"fixed-point-free cover of {element_of_word('fpf', w).text()} "
+                    f"along {i} has type {kind}"
+                )
+    return kinds
+
+
 def _covers_of(family: str, kind: type, up: Callable, x: Involution | Clan) -> list:
     """The up-covers of x, exactly a ``kind``, as (label, upper, type)."""
     _require(f"family {family!r}", kind, x, exact=True)
     w = one_line_word(x)
-    return [(i, element_of_word(family, v), _cover_type(w, i)) for i, v in up(w)]
+    moves = up(w)
+    kinds = _cover_types(family, w, [i for i, _ in moves])
+    return [(i, element_of_word(family, v), t) for (i, v), t in zip(moves, kinds)]
 
 
 def upward_covers_involution(x: Involution) -> list[tuple[int, Involution, CoverType]]:
@@ -185,7 +188,7 @@ def upward_covers_involution(x: Involution) -> list[tuple[int, Involution, Cover
 
 def upward_covers_fpf(x: FpfInvolution) -> list[tuple[int, FpfInvolution, CoverType]]:
     """Covers in the fixed-point-free order; only types IB, IC1, IC2 occur."""
-    return _covers_of("fpf", FpfInvolution, _up_fpf, x)
+    return _covers_of("fpf", FpfInvolution, _up_involution, x)
 
 
 def upward_covers_clan(x: Clan) -> list[tuple[int, Clan, CoverType]]:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass
+from typing import Callable
 
 __all__ = [
     "Permutation",
@@ -36,12 +37,14 @@ __all__ = [
     "left_descents",
     "apply_simple_left",
     "reduced_words",
-    "some_reduced_word",
     "count_reduced_words",
     "evaluate_word",
 ]
 
 ReducedWord = tuple[int, ...]
+Word = tuple[int, ...]
+Moves = list[tuple[int, Word]]
+Closure = tuple[dict[Word, int], dict[Word, Moves]]
 
 
 @dataclass(frozen=True, order=True)
@@ -215,75 +218,80 @@ def evaluate_word(letters: tuple[int, ...], n: int) -> Permutation:
     return u
 
 
-def _peelings(u: Permutation) -> dict[Permutation, list[tuple[int, Permutation]]]:
-    """Every permutation reached from u by peeling left descents, each with
-    its (j, s_j o w) peelings, breadth-first from u.
-
-    Each peeling lowers the length by exactly 1, so breadth-first order is
-    decreasing length and the reversed order runs from the identity up:
-    every permutation comes after all of its peelings.
-    """
-    peel: dict[Permutation, list[tuple[int, Permutation]]] = {}
-    seen = {u}
-    frontier = [u]
+def _closure(start: Word, moves: Callable[[Word], Moves]) -> Closure:
+    """Breadth-first closure of ``start`` under ``moves``: every reached word's
+    depth and its (label, word) moves, both keyed in breadth-first order."""
+    depth = {start: 0}
+    reached: dict[Word, Moves] = {}
+    frontier = [start]
     while frontier:
         nxt = []
         for w in frontier:
-            peel[w] = got = [(j, apply_simple_left(j, w)) for j in left_descents(w)]
+            reached[w] = got = moves(w)
+            d = depth[w] + 1
             for _, v in got:
-                if v not in seen:
-                    seen.add(v)
+                if v not in depth:
+                    depth[v] = d
                     nxt.append(v)
         frontier = nxt
-    return peel
+    return depth, reached
+
+
+def _count_paths(moves: dict[Word, Moves]) -> int:
+    """Paths from the start of a closure to its words without moves.  Every
+    move leads one level deeper (the orders are graded), so the reversed
+    breadth-first order meets each word after its moves and ends at the start."""
+    counts: dict[Word, int] = {}
+    for w in reversed(moves):
+        got = moves[w]
+        counts[w] = sum(counts[v] for _, v in got) if got else 1
+    return counts[w]
+
+
+def _peel(w: Word) -> Moves:
+    """(j, s_j o w) for every left descent j of the one-line word w: j + 1
+    sits left of j, and s_j exchanges the two values."""
+    pos = [0] * (len(w) + 1)
+    for s, v in enumerate(w):
+        pos[v] = s
+    out = []
+    for j in range(1, len(w)):
+        if pos[j + 1] < pos[j]:
+            u = list(w)
+            u[pos[j]], u[pos[j + 1]] = j + 1, j
+            out.append((j, tuple(u)))
+    return out
 
 
 def reduced_words(u: Permutation) -> set[ReducedWord]:
     """All reduced words for u, found by peeling left descents.
 
     A word ``(j,) + rest`` is reduced for u exactly when j is a left descent
-    of u and ``rest`` is reduced for s_j o u.  One sweep from the identity
-    up through ``_peelings`` fills in every permutation below u, so a long
-    u needs no recursion.
+    of u and ``rest`` is reduced for s_j o u.  Each peeling lowers the
+    length by exactly 1, so one sweep over the ``_closure`` of u's word,
+    from the identity up, fills in every permutation below u, and a long u
+    needs no recursion.
 
     >>> reduced_words(identity(3))
     {()}
     >>> sorted(reduced_words(Permutation((3, 2, 1))))
     [(1, 2, 1), (2, 1, 2)]
     """
-    peel = _peelings(u)
-    words: dict[Permutation, frozenset[ReducedWord]] = {}
+    _, peel = _closure(u.word, _peel)
+    words: dict[Word, frozenset[ReducedWord]] = {}
     for w in reversed(peel):
         got = peel[w]
         words[w] = frozenset(
             (j,) + rest for j, v in got for rest in words[v]
         ) if got else frozenset({()})
-    return set(words[u])
-
-
-def some_reduced_word(u: Permutation) -> ReducedWord:
-    """One reduced word for u, deterministically (smallest descent first)."""
-    letters = []
-    w = u
-    descents = left_descents(w)
-    while descents:
-        j = min(descents)
-        letters.append(j)
-        w = apply_simple_left(j, w)
-        descents = left_descents(w)
-    return tuple(letters)
+    return set(words[u.word])
 
 
 def count_reduced_words(u: Permutation) -> int:
-    """Number of reduced words for u, without materializing them: the sweep
-    of ``reduced_words`` on counts.
+    """Number of reduced words for u, without materializing them: the paths
+    of the peeling closure.
 
     >>> count_reduced_words(Permutation((3, 2, 1)))
     2
     """
-    peel = _peelings(u)
-    counts: dict[Permutation, int] = {}
-    for w in reversed(peel):
-        got = peel[w]
-        counts[w] = sum(counts[v] for _, v in got) if got else 1
-    return counts[u]
+    return _count_paths(_closure(u.word, _peel)[1])

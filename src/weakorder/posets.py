@@ -1,9 +1,10 @@
 """Weak order posets as explicit labeled Hasse diagrams.
 
-One breadth-first closure on one-line words, ``_closure``, builds every
-poset: from the bottom's word under the family's up-covers, or from x's word
-under the down-covers for [bottom, x] alone (see the matchings module).
-Each word is decoded into an element only once the closure is done.
+One breadth-first closure on one-line words, ``permutations._closure``,
+builds every poset: from the bottom's word under the family's up-covers, or
+from x's word under the down-covers for [bottom, x] alone (see the matchings
+module).  Each word is decoded into an element, and each cover label
+classified by ``matchings._cover_types``, once the closure is done.
 Elements are sorted by (rank, text), so indices are stable and
 rank-monotone: every edge points from a lower index to a strictly higher
 one, and dynamic programs can sweep the element list in order.
@@ -51,15 +52,14 @@ from .involutions import (
 )
 from .matchings import (
     CoverType,
-    _cover_type,
+    _cover_types,
     _up_clan,
-    _up_fpf,
     _up_involution,
     downward_covers_clan,
     downward_covers_fpf,
     downward_covers_involution,
 )
-from .permutations import count_reduced_words
+from .permutations import Closure, Moves, Word, _closure, _count_paths, count_reduced_words
 from .wsets import WSet, wset_clan, wset_fpf, wset_involution
 
 __all__ = [
@@ -82,9 +82,6 @@ __all__ = [
 ]
 
 Element = Union[Involution, FpfInvolution, Clan]
-Word = tuple[int, ...]
-Moves = list[tuple[int, Word]]
-Closure = tuple[dict[Word, int], dict[Word, Moves]]
 
 
 @dataclass(frozen=True)
@@ -109,7 +106,7 @@ _FAMILY = {
         lambda x: wset_involution(x), involution_count, lambda x: x.n, lambda n: [n],
     ),
     "fpf": _Family(
-        FpfInvolution, _up_fpf, downward_covers_fpf, rank_fpf, lambda x: wset_fpf(x),
+        FpfInvolution, _up_involution, downward_covers_fpf, rank_fpf, lambda x: wset_fpf(x),
         fpf_count, lambda x: x.n, lambda n: [n] if n % 2 == 0 else [],
     ),
     "clan": _Family(
@@ -226,25 +223,6 @@ class WeakOrderPoset:
         return tuple(e for j, e in enumerate(self.elements) if not self.up[j])
 
 
-def _closure(start: Word, moves: Callable[[Word], Moves]) -> Closure:
-    """Breadth-first closure of ``start`` under ``moves``: every reached word's
-    depth and its (label, word) moves, both keyed in breadth-first order."""
-    depth = {start: 0}
-    reached: dict[Word, Moves] = {}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            reached[w] = got = moves(w)
-            d = depth[w] + 1
-            for _, v in got:
-                if v not in depth:
-                    depth[v] = d
-                    nxt.append(v)
-        frontier = nxt
-    return depth, reached
-
-
 def build_poset(family: str, param: "int | tuple[int, int]") -> WeakOrderPoset:
     """Breadth-first closure of the bottom element's word under up-covers.
 
@@ -282,10 +260,7 @@ def _assemble(
     edges = []
     for (lo, hi), labels in sorted(edge_labels.items()):
         labels.sort()
-        lower = order[lo]
-        edges.append(
-            Edge(lo, hi, tuple(labels), tuple([_cover_type(lower, i) for i in labels]))
-        )
+        edges.append(Edge(lo, hi, tuple(labels), _cover_types(family, order[lo], labels)))
     return WeakOrderPoset(
         family,
         param,
@@ -348,18 +323,14 @@ def _down_closure(family: str, x: Element) -> Closure:
 def count_chains_below(family: str, x: Element) -> int:
     """Chain count of [bottom, x], exploring only that interval.
 
-    Equals ``count_maximal_chains(build_poset(family, ...), x)``: a dynamic
-    program over the down-covers, each (label, lower word) pair one step.
+    Equals ``count_maximal_chains(build_poset(family, ...), x)``: the paths
+    of the down-closure, each (label, lower word) pair one step, counted by
+    the sweep of ``count_reduced_words``.
 
     >>> count_chains_below("involution", Involution.from_cycles(4, [(1, 4), (2, 3)]))
     8
     """
-    _, covers = _down_closure(family, x)
-    counts: dict[Word, int] = {}
-    for w in reversed(covers):
-        below = covers[w]
-        counts[w] = sum(counts[v] for _, v in below) if below else 1
-    return counts[one_line_word(x)]
+    return _count_paths(_down_closure(family, x)[1])
 
 
 def build_lower_interval(family: str, x: Element) -> WeakOrderPoset:

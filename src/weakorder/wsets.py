@@ -47,6 +47,7 @@ from .involutions import (
     Clan,
     FpfInvolution,
     Involution,
+    one_line_word,
     rank_clan,
     rank_fpf,
     rank_involution,
@@ -198,7 +199,8 @@ def wset_involution(pi: Involution) -> WSet:
       no value strictly between a and b in the slots between them
       (condition 1);
     - a fixed point takes the first free slot, because every later block
-      lands to its right;
+      lands to its right.  Slots only fill along a path, so each step
+      scans for free slots from the first free slot of the step before;
     - conditions 2-5 are one rule: an earlier block (a0, b0) with b0 < b
       has a0 left of the new block's b.  Only earlier cycles are checked:
       an earlier fixed point took the first free slot, so every later
@@ -220,21 +222,22 @@ def wset_involution(pi: Involution) -> WSet:
     """
     n = pi.n
     blocks = sorted(pi.cycles + tuple((c, c) for c in pi.fixed_points))
-    mate = list(range(n + 1))
-    for a, b in pi.cycles:
-        mate[a], mate[b] = b, a
+    mate = (0,) + one_line_word(pi)
     room = [sum(a < mate[v] < b for v in range(a + 1, b)) for a, b in blocks]
+    # first[t]: the first free slot when step t - 1 ran, 0 for step 0
+    first = [0] * (len(blocks) + 1)
 
     def place(t: int, word: list[int], pos: list[int]) -> Iterator[_Choice]:
         a, b = blocks[t]
         # an unplaced cycle reads pos -1, so only earlier cycles count
         least = max([pos[a0] for a0, b0 in pi.cycles if b0 < b], default=-1) + 1
         if a == b:
-            first = word.index(0)
-            if first >= least:
-                yield ((first, a),)
+            first[t + 1] = lo = word.index(0, first[t])
+            if lo >= least:
+                yield ((lo, a),)
             return
-        free = list(itertools.islice((s for s in range(n) if not word[s]), room[t] + 2))
+        free = list(itertools.islice((s for s in range(first[t], n) if not word[s]), room[t] + 2))
+        first[t + 1] = free[0]
         for pb, pa in zip(free, free[1:]):
             if pb >= least and not any(a < v < b for v in word[pb + 1 : pa]):
                 yield (pb, b), (pa, a)

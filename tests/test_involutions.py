@@ -25,22 +25,21 @@ from weakorder import (
     Permutation,
     bottom_element,
     clan_count,
+    element_of_word,
     fpf_count,
     involution_count,
-    maximal_clans,
+    one_line_word,
     rank_clan,
     rank_fpf,
     rank_involution,
     rs_step_fpf,
     rs_step_involution,
-    rs_word_action,
     standard_form,
 )
 from weakorder.permutations import (
     compose,
     identity,
     length,
-    reduced_words,
     simple_transposition,
 )
 
@@ -81,7 +80,6 @@ class TestConstruction:
         pi = Clan.from_parts(7, [(1, 6), (2, 3)], {4: 1, 5: -1, 7: 1})
         assert pi.text() == "(1,6)(2,3)(4+)(5-)(7+)"
         assert (pi.p, pi.q) == (4, 3)
-        assert pi.total_charge == 1
         assert pi.underlying_involution() == Involution.from_cycles(7, [(1, 6), (2, 3)])
 
     def test_clan_needs_signs_on_every_fixed_point(self) -> None:
@@ -165,12 +163,6 @@ class TestCounts:
                     for k in range(min(p, q) + 1)
                 )
 
-    def test_maximal_clans(self) -> None:
-        tops = maximal_clans(2, 2)
-        assert len(tops) == 6
-        assert all(not c.cycles for c in tops)
-        assert all(rank_clan(c) == 4 for c in tops)
-
 
 def literal_step(i: int, pi: Involution) -> Involution:
     """The monoid step spelled out with full permutation arithmetic."""
@@ -224,26 +216,11 @@ class TestMonoidSteps:
                         i, rs_step_involution(j, pi)
                     ) == rs_step_involution(j, rs_step_involution(i, pi))
 
-    def test_word_action_is_word_independent(self) -> None:
-        pis = brute_involutions(5)
-        for w in (Permutation((3, 2, 4, 1, 5)), Permutation((2, 3, 1, 5, 4))):
-            for pi in pis:
-                expected = rs_word_action(w, pi)
-                for word in reduced_words(w):
-                    got = pi
-                    for i in reversed(word):
-                        got = rs_step_involution(i, got)
-                    assert got == expected
-
-    def test_word_action_preserves_family(self) -> None:
-        w = Permutation((2, 1, 4, 3))
-        out = rs_word_action(w, bottom_element("fpf", 4))
-        assert isinstance(out, FpfInvolution)
-
 
 _PLUS_CLAN = Clan.from_parts(3, [(1, 2)], {3: 1})
 _MINUS_CLAN = Clan.from_parts(3, [(1, 2)], {3: -1})
 _NOT_FPF = Involution.from_cycles(4, [(1, 2)])
+_PERFECT = Involution.from_cycles(4, [(1, 2), (3, 4)])
 
 
 @pytest.mark.parametrize(
@@ -251,8 +228,9 @@ _NOT_FPF = Involution.from_cycles(4, [(1, 2)])
     [
         ("rs_step_involution", _PLUS_CLAN, "an Involution, got Clan"),
         ("rs_step_involution", _MINUS_CLAN, "an Involution, got Clan"),
-        ("rs_word_action", _PLUS_CLAN, "an Involution, got Clan"),
-        ("rs_word_action", _MINUS_CLAN, "an Involution, got Clan"),
+        ("rs_step_fpf", _MINUS_CLAN, "a FpfInvolution, got Clan"),
+        # the type decides, not the shape: no fixed points, still an Involution
+        ("rs_step_fpf", _PERFECT, "a FpfInvolution, got Involution"),
         ("rs_step_fpf", _NOT_FPF, "a FpfInvolution, got Involution"),
         ("rs_step_fpf", _PLUS_CLAN, "a FpfInvolution, got Clan"),
     ],
@@ -262,7 +240,6 @@ def test_steps_reject_another_family(move, x, want) -> None:
     call = {
         "rs_step_involution": lambda: rs_step_involution(1, x),
         "rs_step_fpf": lambda: rs_step_fpf(1, x),
-        "rs_word_action": lambda: rs_word_action(Permutation((1, 3, 2)), x),
     }[move]
     with pytest.raises(ValueError, match=f"{move} needs {want}"):
         call()
@@ -271,6 +248,25 @@ def test_steps_reject_another_family(move, x, want) -> None:
 def test_involution_step_accepts_fpf() -> None:
     x = FpfInvolution.from_cycles(4, [(1, 2), (3, 4)])
     assert rs_step_involution(2, x).text() == "(1,3)(2,4)"
+
+
+@pytest.mark.parametrize(
+    "family, word, error",
+    [
+        ("foo", (1,), "unknown family 'foo'"),
+        ("involution", (-1, 2), "cycles () and fixed points (2,) do not partition 1..2"),
+        ("fpf", (1, 2), "fixed points (1, 2) present; expected none"),
+        ("clan", (1, -2), None),
+    ],
+)
+def test_element_of_word_decodes_only_its_family(family, word, error) -> None:
+    # only a clan reads a signed entry; an fpf element has no fixed point
+    if error is None:
+        assert one_line_word(element_of_word(family, word)) == word
+        return
+    with pytest.raises(ValueError) as raised:
+        element_of_word(family, word)
+    assert str(raised.value) == error
 
 
 class TestBottoms:

@@ -8,6 +8,7 @@ from conftest import brute_clans, brute_fpf, brute_involutions
 from weakorder import (
     CoverType,
     bottom_element,
+    build_lower_interval,
     build_poset,
     crossings,
     element_of_word,
@@ -126,6 +127,33 @@ class TestCoversFpf:
         monkeypatch.setattr(weakorder.matchings, "_cover_type", lambda w, i: CoverType.II)
         with pytest.raises(RuntimeError, match=r"\(1,2\)\(3,4\) along 2 has type II"):
             build_poset("fpf", 4)
+
+    def test_foreign_cover_type_raises_in_interval(self, monkeypatch) -> None:
+        import weakorder.matchings
+
+        monkeypatch.setattr(weakorder.matchings, "_cover_type", lambda w, i: CoverType.II)
+        x = FpfInvolution.from_cycles(4, [(1, 3), (2, 4)])
+        with pytest.raises(RuntimeError, match=r"\(1,2\)\(3,4\) along 2 has type II"):
+            build_lower_interval("fpf", x)
+
+    def test_build_classifies_each_label_once(self, monkeypatch) -> None:
+        import sys
+
+        import weakorder.matchings
+
+        original = weakorder.matchings._cover_type
+        calls = []
+
+        def counted(w, i):
+            calls.append(i)
+            return original(w, i)
+
+        for name, module in list(sys.modules.items()):
+            held = getattr(module, "_cover_type", None)
+            if name.split(".")[0] == "weakorder" and held is original:
+                monkeypatch.setattr(module, "_cover_type", counted)
+        P = build_poset("fpf", 8)
+        assert len(calls) == sum(len(e.labels) for e in P.edges)
 
     def test_each_cover_raises_rank_by_one(self) -> None:
         for pi in brute_fpf(6):

@@ -23,7 +23,6 @@ from weakorder.permutations import (
     longest_element,
     reduced_words,
     simple_transposition,
-    some_reduced_word,
 )
 
 
@@ -160,12 +159,6 @@ class TestReducedWords:
         for word in ws:
             assert len(word) == length(u)
             assert evaluate_word(word, u.n) == u
-
-    @given(perms())
-    def test_some_reduced_word(self, u: Permutation) -> None:
-        word = some_reduced_word(u)
-        assert len(word) == length(u)
-        assert evaluate_word(word, u.n) == u
 
     def test_exhaustive_against_all_words(self) -> None:
         # every letter sequence of the right length that evaluates to u,

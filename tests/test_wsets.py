@@ -246,18 +246,20 @@ class TestConditionFilters:
         assert [w.word for w in got.members] == [order + tail for order in orders]
         assert elapsed < 5.0
 
-    def test_far_apart_cycles_are_fast(self) -> None:
+    @pytest.mark.parametrize("n, c", [(3000, 2000), (9000, 6000)])
+    def test_far_apart_cycles_are_fast(self, n: int, c: int) -> None:
         # the W-sets of (1,3) in S_3 and of (1,4) in S_4, side by side; a
-        # cycle may only leave free slots on its left for blocks nested in it
+        # cycle may only leave free slots on its left for blocks nested in it,
+        # and no step scans the filled slots left of its parent's first free one
         import time
 
-        pi = inv(3000, (1, 3), (2000, 2003))
+        pi = inv(n, (1, 3), (c, c + 3))
         start = time.perf_counter()
         got = wset_involution(pi)
         elapsed = time.perf_counter() - start
-        middle, tail = tuple(range(4, 2000)), tuple(range(2004, 3001))
+        middle, tail = tuple(range(4, c)), tuple(range(c + 4, n + 1))
         expected = [
-            left + middle + tuple(v + 1999 for v in right) + tail
+            left + middle + tuple(v + c - 1 for v in right) + tail
             for left in [(2, 3, 1), (3, 1, 2)]
             for right in [(2, 3, 4, 1), (2, 4, 1, 3), (4, 1, 2, 3)]
         ]
