@@ -133,7 +133,7 @@ def _family_of(name: str, x: Element) -> _Family:
     return fam
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     """A Hasse cover lo -> hi with every label realizing it, types parallel."""
 

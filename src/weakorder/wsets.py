@@ -40,8 +40,9 @@ from __future__ import annotations
 
 import itertools
 import weakref
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .involutions import (
     Clan,
@@ -107,35 +108,35 @@ _Choice = tuple[tuple[int, int], ...]
 
 
 def _search(
-    n: int, steps: int, choices: Callable[[int, list[int], list[int]], Iterator[_Choice]]
+    n: int, steps: int, choices: Callable[[int, list[int], list[int]], list[_Choice]]
 ) -> list[tuple[int, ...]]:
     """Every word completed by ``steps`` placement steps, on an explicit stack.
 
     ``word[s]`` is 0 while slot s is free and ``pos[v]`` is -1 while the
-    value v is unplaced.  ``choices(t, word, pos)`` yields the choices of
-    step t given steps < t; the stack keeps one such iterator per placed
-    step, so any number of steps stays within the recursion limit.
+    value v is unplaced.  ``choices(t, word, pos)`` returns the list of
+    choices of step t given steps < t; the stack keeps one (list, cursor)
+    pair per placed step, the cursor one past the choice held, so any
+    number of steps stays within the recursion limit.
     """
     word = [0] * n
     pos = [-1] * (n + 1)
     words: list[tuple[int, ...]] = []
-    stack = [choices(0, word, pos)]
-    held: list[_Choice] = []  # the choice taken at each placed step
+    stack = [(choices(0, word, pos), 0)]
     while stack:
-        if len(held) == len(stack):
-            for s, v in held.pop():
+        options, k = stack[-1]
+        if k:
+            for s, v in options[k - 1]:
                 word[s], pos[v] = 0, -1
-        choice = next(stack[-1], None)
-        if choice is None:
+        if k == len(options):
             stack.pop()
             continue
-        for s, v in choice:
+        stack[-1] = (options, k + 1)
+        for s, v in options[k]:
             word[s], pos[v] = v, s
-        held.append(choice)
-        if len(held) == steps:
+        if len(stack) == steps:
             words.append(tuple(word))
         else:
-            stack.append(choices(len(held), word, pos))
+            stack.append((choices(len(stack), word, pos), 0))
     return words
 
 
@@ -168,11 +169,8 @@ def check_conditions_involution(w: Permutation, pi: Involution) -> bool:
     pos = {v: s for s, v in enumerate(w.word)}
     for a, b in pi.cycles:
         pa, pb = pos[a], pos[b]
-        if not pb < pa:
+        if not pb < pa or any(pb < pos[x] < pa for x in range(a + 1, b)):
             return False
-        for x in range(a + 1, b):
-            if pb < pos[x] < pa:
-                return False
     for (a1, b1), (a2, b2) in itertools.combinations(pi.cycles, 2):
         # standard form sorts cycles by first entry, so a1 < a2 here
         if b1 < b2 and not pos[a1] < pos[b2]:
@@ -182,9 +180,7 @@ def check_conditions_involution(w: Permutation, pi: Involution) -> bool:
             return False
     for a, b in pi.cycles:
         for c in pi.fixed_points:
-            if c < a and not pos[c] < pos[b]:
-                return False
-            if b < c and not pos[a] < pos[c]:
+            if (c < a and not pos[c] < pos[b]) or (b < c and not pos[a] < pos[c]):
                 return False
     return True
 
@@ -204,7 +200,10 @@ def wset_involution(pi: Involution) -> WSet:
     - conditions 2-5 are one rule: an earlier block (a0, b0) with b0 < b
       has a0 left of the new block's b.  Only earlier cycles are checked:
       an earlier fixed point took the first free slot, so every later
-      block lands right of it;
+      block lands right of it.  The earlier cycles are a prefix of
+      ``pi.cycles``, its length bisected from the cycle heads once per
+      block, and each node scans it for ``last``, the rightmost such a0.
+      A table of earlier cycles per block would be quadratic in memory;
     - a cycle (a, b) leaves at most room(a, b) free slots left of b, the
       number of values inside (a, b) whose block is nested inside it.
       Only those values can fill the slots: every later block has a
@@ -220,27 +219,39 @@ def wset_involution(pi: Involution) -> WSet:
     >>> [w.as_text(compact=True) for w in wset_involution(pi).members]
     ['31452', '31524']
     """
-    n = pi.n
-    blocks = sorted(pi.cycles + tuple((c, c) for c in pi.fixed_points))
+    n, cycles = pi.n, pi.cycles
+    blocks = sorted(cycles + tuple((c, c) for c in pi.fixed_points))
     mate = (0,) + one_line_word(pi)
     room = [sum(a < mate[v] < b for v in range(a + 1, b)) for a, b in blocks]
+    # before[t]: how many cycles come before block t, all of them placed
+    before = [bisect_left(cycles, (a,)) for a, b in blocks]
     # first[t]: the first free slot when step t - 1 ran, 0 for step 0
     first = [0] * (len(blocks) + 1)
 
-    def place(t: int, word: list[int], pos: list[int]) -> Iterator[_Choice]:
+    def place(t: int, word: list[int], pos: list[int]) -> list[_Choice]:
         a, b = blocks[t]
-        # an unplaced cycle reads pos -1, so only earlier cycles count
-        least = max([pos[a0] for a0, b0 in pi.cycles if b0 < b], default=-1) + 1
+        last = -1
+        for a0, b0 in cycles[: before[t]]:
+            if b0 < b and pos[a0] > last:
+                last = pos[a0]
         if a == b:
             first[t + 1] = lo = word.index(0, first[t])
-            if lo >= least:
-                yield ((lo, a),)
-            return
-        free = list(itertools.islice((s for s in range(first[t], n) if not word[s]), room[t] + 2))
-        first[t + 1] = free[0]
+            return [((lo, a),)] if lo > last else []
+        free: list[int] = []
+        for s in range(first[t], n):
+            if not word[s]:
+                free.append(s)
+                if len(free) == room[t] + 2:
+                    break
+        first[t + 1], out = free[0], []
         for pb, pa in zip(free, free[1:]):
-            if pb >= least and not any(a < v < b for v in word[pb + 1 : pa]):
-                yield (pb, b), (pa, a)
+            if pb > last:
+                for v in word[pb + 1 : pa]:
+                    if a < v < b:
+                        break
+                else:
+                    out.append(((pb, b), (pa, a)))
+        return out
 
     return _collect(pi, rank_involution(pi), _search(n, len(blocks), place))
 
@@ -260,12 +271,13 @@ def wset_fpf(pi: FpfInvolution) -> WSet:
     ['1423', '2314']
     """
 
-    def place(t: int, word: list[int], pos: list[int]) -> Iterator[_Choice]:
-        low = pi.n + 1
+    def place(t: int, word: list[int], pos: list[int]) -> list[_Choice]:
+        low, out = pi.n + 1, []
         for a, b in pi.cycles:
             if pos[a] < 0 and b < low:
                 low = b
-                yield (2 * t, a), (2 * t + 1, b)
+                out.append(((2 * t, a), (2 * t + 1, b)))
+        return out
 
     return _collect(pi, rank_fpf(pi), _search(pi.n, len(pi.cycles), place))
 
@@ -281,10 +293,7 @@ def wstar(n: int) -> Permutation:
     """
     if n < 2 or n % 2:
         raise ValueError(f"n must be a positive even integer, got {n}")
-    word: list[int] = []
-    for i in range(1, n, 2):
-        word += [i + 1, i]
-    return Permutation(tuple(word))
+    return Permutation(tuple(v for i in range(1, n, 2) for v in (i + 1, i)))
 
 
 def wset_clan(pi: Clan) -> WSet:
@@ -317,22 +326,22 @@ def wset_clan(pi: Clan) -> WSet:
         mate[a], mate[b] = b, a
     sign = dict(pi.signed_fixed_points)
 
-    def peel(t: int, word: list[int], pos: list[int]) -> Iterator[_Choice]:
+    def peel(t: int, word: list[int], pos: list[int]) -> list[_Choice]:
         if t == last:
-            yield tuple(zip(range(t, n - t), [v for v in range(1, n + 1) if pos[v] < 0]))
-            return
-        reach = prev = 0
+            return [tuple(zip(range(t, n - t), [v for v in range(1, n + 1) if pos[v] < 0]))]
+        reach, prev, out = 0, 0, []
         for v in range(1, n + 1):
             if pos[v] >= 0:
                 continue
             w = mate[v]
             if w:
                 if reach < w:
-                    yield (t, v), (n - 1 - t, w)
+                    out.append(((t, v), (n - 1 - t, w)))
                     reach = w
             elif sign.get(prev) == -sign[v] and reach < v:
-                yield (t, v), (n - 1 - t, prev)
+                out.append(((t, v), (n - 1 - t, prev)))
             prev = v
+        return out
 
     return _collect(pi, rank_clan(pi), _search(n, last + 1, peel))
 

@@ -266,6 +266,53 @@ class TestConditionFilters:
         assert [w.word for w in got.members] == expected
         assert elapsed < 2.0
 
+    def test_ladder_keeps_no_table_of_earlier_cycles(self) -> None:
+        # (1,2)(3,4)...(5999,6000): each node scans the cycles before its
+        # block in place; a table of them per block would be quadratic in
+        # the cycles (about 38 MB here)
+        import time
+        import tracemalloc
+
+        pi = inv(6000, *((i, i + 1) for i in range(1, 6000, 2)))
+        start = time.perf_counter()
+        got = wset_involution(pi)
+        elapsed = time.perf_counter() - start
+        tracemalloc.start()
+        try:
+            wset_involution(pi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ladder = tuple(v for i in range(1, 6000, 2) for v in (i + 1, i))
+        assert [w.word for w in got.members] == [ladder]
+        assert elapsed < 2.0
+        assert peak < 8_000_000
+
+    def test_search_node_count_at_n8(self, monkeypatch) -> None:
+        # nodes are the roots plus every choice taken; a node whose choice
+        # list is empty has no member below it, a dead end
+        import weakorder.wsets
+
+        search = weakorder.wsets._search
+        seen = {"nodes": 0, "dead": 0, "members": 0}
+
+        def counting(n: int, steps: int, choices):
+            def counted(t: int, word: list[int], pos: list[int]):
+                got = choices(t, word, pos)
+                seen["nodes"] += len(got)
+                seen["dead"] += not got
+                return got
+
+            words = search(n, steps, counted)
+            seen["nodes"] += 1
+            seen["members"] += len(words)
+            return words
+
+        monkeypatch.setattr(weakorder.wsets, "_search", counting)
+        for pi in brute_involutions(8):
+            wset_involution(pi)
+        assert seen == {"nodes": 25_135, "dead": 0, "members": 6_300}
+
     def test_cli_fpf_bottom_exits_0(self, capsys) -> None:
         from weakorder.cli import run
 
