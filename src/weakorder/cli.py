@@ -144,7 +144,7 @@ def export_dot(P: WeakOrderPoset) -> str:
     ]
     lines += [f'  {j} [label="{e.text()}"];' for j, e in enumerate(P.elements)]
     for e in P.edges:
-        bold = ", style=bold" if all(t is CoverType.II for t in e.types) else ""
+        bold = ", style=bold" if e.types.count(CoverType.II) == len(e.types) else ""
         lines.append(f'  {e.lo} -> {e.hi} [label="{",".join(map(str, e.labels))}"{bold}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Involution:
     """An involution of {1, ..., n} in standard form."""
 
@@ -114,6 +114,8 @@ class Involution:
 class FpfInvolution(Involution):
     """An involution without fixed points; n must be even."""
 
+    __slots__ = ()
+
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.fixed_points:
@@ -128,7 +130,7 @@ class FpfInvolution(Involution):
         return Involution(self.n, self.cycles, self.fixed_points)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Clan:
     """An involution whose fixed points carry signs; p, q >= 1 is required.
 
@@ -231,35 +233,35 @@ def rank_clan(pi: Clan) -> int:
     return pi.p * pi.q - rank_involution(pi.underlying_involution())
 
 
-# The monoid step, on the one-line word m of an involution (m[i-1] == pi(i)).
-# Cases at (i, i+1): both fixed -> attach the two-cycle (i, i+1); the strand
-# {i, i+1} itself or a descent pi(i) > pi(i+1) -> no move; otherwise conjugate
-# by s_i, which is exactly the case where the length rises by 2.  The
-# equivalence with the literal length comparison is covered by tests.
-def _step_map(i: int, m: tuple[int, ...]) -> tuple[int, ...]:
-    a, b = m[i - 1], m[i]
-    if a == i and b == i + 1:
-        out = list(m)
-        out[i - 1], out[i] = i + 1, i
-        return tuple(out)
-    if a == i + 1 or a > b:
-        return m
-    return _conjugate(i, m)
+def _up_involution(m: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """The monoid step, as (i, upper word) for each i that moves the one-line
+    word m of an involution (m[i-1] == pi(i)).  At (i, i+1): both fixed ->
+    attach the two-cycle (i, i+1); the strand {i, i+1} itself or a descent
+    pi(i) > pi(i+1) -> no move; otherwise conjugate by s_i, which is exactly
+    the case where the length rises by 2 (tests check both against lengths)."""
+    out = []
+    for i in range(1, len(m)):
+        a, b = m[i - 1], m[i]
+        if a == i and b == i + 1:
+            out.append((i, m[: i - 1] + (i + 1, i) + m[i + 1 :]))
+        elif a != i + 1 and a < b:
+            out.append((i, _conjugate(i, m)))
+    return out
 
 
-# The inverse step: detach the strand {i, i+1} (only where fixed points are
-# allowed), conjugate by s_i at a descent, otherwise no move.
-def _step_down_map(i: int, m: tuple[int, ...], detach: bool) -> tuple[int, ...]:
-    a, b = m[i - 1], m[i]
-    if a == i + 1:
-        if not detach:
-            return m
-        out = list(m)
-        out[i - 1], out[i] = i, i + 1
-        return tuple(out)
-    if a < b:
-        return m
-    return _conjugate(i, m)
+def _down_involution(m: tuple[int, ...], detach: bool) -> list[tuple[int, tuple[int, ...]]]:
+    """The inverse step, as (i, lower word) for each i that moves m: detach the
+    strand {i, i+1} (if ``detach``, where fixed points are allowed), conjugate
+    by s_i at a descent, otherwise no move."""
+    out = []
+    for i in range(1, len(m)):
+        a, b = m[i - 1], m[i]
+        if a == i + 1:
+            if detach:
+                out.append((i, m[: i - 1] + (i, i + 1) + m[i + 1 :]))
+        elif a > b:
+            out.append((i, _conjugate(i, m)))
+    return out
 
 
 def _conjugate(i: int, m: tuple[int, ...]) -> tuple[int, ...]:
@@ -328,7 +330,8 @@ def _rs_step(family: str, i: int, pi: Involution) -> Involution:
     _require(f"rs_step_{family}", _WORD_TYPE[family], pi)
     if not 1 <= i <= pi.n - 1:
         raise ValueError(f"step index {i} out of range 1..{pi.n - 1}")
-    return element_of_word(family, _step_map(i, one_line_word(pi)))
+    m = one_line_word(pi)
+    return element_of_word(family, dict(_up_involution(m)).get(i, m))
 
 
 def rs_step_involution(i: int, pi: Involution) -> Involution:

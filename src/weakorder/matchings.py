@@ -44,9 +44,9 @@ from .involutions import (
     FpfInvolution,
     Involution,
     _conjugate,
+    _down_involution,
     _require,
-    _step_down_map,
-    _step_map,
+    _up_involution,
     element_of_word,
     one_line_word,
 )
@@ -75,6 +75,11 @@ class CoverType(Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+# the members as module globals, cheaper to look up than CoverType.<name>
+_IA1, _IA2, _IB, _IC1, _IC2, _II = CoverType
+_FPF_KINDS = frozenset((_IB, _IC1, _IC2))
 
 
 def crossings(x: Involution | Clan) -> int:
@@ -113,28 +118,23 @@ def _cover_type(w: tuple[int, ...], i: int) -> CoverType:
     a, b = w[i - 1], w[i]
     fixed_i, fixed_j = abs(a) == i, abs(b) == i + 1
     if a == i + 1 or (fixed_i and fixed_j):
-        return CoverType.II
+        return _II
     if fixed_i:
-        return CoverType.IA2 if b > i + 1 else CoverType.IA1
+        return _IA2 if b > i + 1 else _IA1
     if fixed_j:
-        return CoverType.IA1 if a < i else CoverType.IA2
+        return _IA1 if a < i else _IA2
     i_left, j_left = a > i, b > i + 1
     if i_left and j_left:
-        return CoverType.IC1
+        return _IC1
     if not i_left and not j_left:
-        return CoverType.IC2
-    return CoverType.IB
+        return _IC2
+    return _IB
 
 
 # On one-line words, the up-covers return (label, upper word) pairs and the
 # down-covers (label, lower word) pairs, at most one per label except for a
-# clan detach, which gives both sign orders under the same label.
-
-
-def _up_involution(w: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
-    """The monoid step at every i that moves w."""
-    steps = ((i, _step_map(i, w)) for i in range(1, len(w)))
-    return [(i, v) for i, v in steps if v is not w]
+# clan detach, which gives both sign orders under the same label.  The
+# involution up-covers are the monoid step, ``involutions._up_involution``.
 
 
 def _up_clan(w: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
@@ -145,26 +145,21 @@ def _up_clan(w: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
     for i in range(1, len(w)):
         a, b = w[i - 1], w[i]
         if a == i + 1:
-            for lo in (1, -1):
-                upper = list(w)
-                upper[i - 1], upper[i] = lo * i, -lo * (i + 1)
-                out.append((i, tuple(upper)))
+            out += [(i, w[: i - 1] + (s * i, -s * (i + 1)) + w[i + 1 :]) for s in (1, -1)]
         elif abs(a) > abs(b):
             out.append((i, _conjugate(i, w)))
     return out
 
 
 def _cover_types(family: str, w: tuple[int, ...], labels: list[int]) -> tuple[CoverType, ...]:
-    """The type of the move up from w along each label; an fpf cover other
-    than IB/IC1/IC2 is a fault of the step and raises RuntimeError."""
+    """The type of the move up from w along each label.  An fpf cover other
+    than IB/IC1/IC2 is a fault of the step and raises RuntimeError; one subset
+    test finds it, and only then are the labels walked to name it."""
     kinds = tuple([_cover_type(w, i) for i in labels])
-    if family == "fpf":
-        for i, kind in zip(labels, kinds):
-            if kind not in (CoverType.IB, CoverType.IC1, CoverType.IC2):
-                raise RuntimeError(
-                    f"fixed-point-free cover of {element_of_word('fpf', w).text()} "
-                    f"along {i} has type {kind}"
-                )
+    if family == "fpf" and not _FPF_KINDS.issuperset(kinds):
+        i, kind = next((i, k) for i, k in zip(labels, kinds) if k not in _FPF_KINDS)
+        text = element_of_word("fpf", w).text()
+        raise RuntimeError(f"fixed-point-free cover of {text} along {i} has type {kind}")
     return kinds
 
 
@@ -208,15 +203,13 @@ def downward_covers_involution(w: tuple[int, ...]) -> list[tuple[int, tuple[int,
     >>> downward_covers_involution((4, 3, 2, 1))
     [(1, (3, 4, 1, 2)), (2, (4, 2, 3, 1)), (3, (3, 4, 1, 2))]
     """
-    steps = ((i, _step_down_map(i, w, True)) for i in range(1, len(w)))
-    return [(i, v) for i, v in steps if v is not w]
+    return _down_involution(w, detach=True)
 
 
 def downward_covers_fpf(w: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
     """Inverse of ``upward_covers_fpf``: conjugate by s_i at a descent that
     is not the strand {i, i+1}."""
-    steps = ((i, _step_down_map(i, w, False)) for i in range(1, len(w)))
-    return [(i, v) for i, v in steps if v is not w]
+    return _down_involution(w, detach=False)
 
 
 def downward_covers_clan(w: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
@@ -236,9 +229,7 @@ def downward_covers_clan(w: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]
         a, b = w[i - 1], w[i]
         if abs(a) == i and abs(b) == i + 1:
             if a * b < 0:
-                lower = list(w)
-                lower[i - 1], lower[i] = i + 1, i
-                out.append((i, tuple(lower)))
+                out.append((i, w[: i - 1] + (i + 1, i) + w[i + 1 :]))
         elif abs(a) < abs(b):
             out.append((i, _conjugate(i, w)))
     return out

@@ -32,6 +32,8 @@ implementation detail.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Union
 
@@ -40,6 +42,7 @@ from .involutions import (
     FpfInvolution,
     Involution,
     _require,
+    _up_involution,
     bottom_element,
     clan_count,
     element_of_word,
@@ -54,7 +57,6 @@ from .matchings import (
     CoverType,
     _cover_types,
     _up_clan,
-    _up_involution,
     downward_covers_clan,
     downward_covers_fpf,
     downward_covers_involution,
@@ -223,8 +225,22 @@ class WeakOrderPoset:
         return tuple(e for j, e in enumerate(self.elements) if not self.up[j])
 
 
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Cyclic GC off inside, then as before; a build's objects outlive it."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def build_poset(family: str, param: "int | tuple[int, int]") -> WeakOrderPoset:
     """Breadth-first closure of the bottom element's word under up-covers.
+
+    Cyclic garbage collection is paused while it runs, restored even on error.
 
     >>> build_poset("fpf", 6).maximal_elements()[0].text()
     '(1,6)(2,5)(3,4)'
@@ -232,22 +248,27 @@ def build_poset(family: str, param: "int | tuple[int, int]") -> WeakOrderPoset:
     6
     """
     bottom = one_line_word(bottom_element(family, param))
-    depth, covers = _closure(bottom, _family(family).up)
-    return _assemble(family, param, depth, covers, upward=True, complete=True)
+    up = _family(family).up
+    with _gc_paused():
+        return _assemble(family, param, *_closure(bottom, up), upward=True)
 
 
 def _assemble(
     family: str,
     param: int | tuple[int, int],
-    rank: dict[Word, int],
+    depth: dict[Word, int],
     covers: dict[Word, Moves],
     upward: bool,
-    complete: bool,
 ) -> WeakOrderPoset:
-    """The poset on the words of ``rank`` with one cover per (label, word)
+    """The poset on the words of ``depth`` with one cover per (label, word)
     move of ``covers``, up from the key if ``upward``, else down to the move's
     word: each word decoded once, elements sorted by (rank, text), the labels
-    of one element pair merged into one edge."""
+    of one element pair merged into one edge.  Rank is depth, counted down
+    from the top if not ``upward``; an upward closure, from the bottom, is a
+    complete poset.  Callers pass the closure inline, so that it is freed
+    here, before ``_gc_paused`` restores the collector."""
+    top = 0 if upward else max(depth.values())
+    rank = depth if upward else {w: top - d for w, d in depth.items()}
     element = {w: element_of_word(family, w) for w in rank}
     order = sorted(rank, key=lambda w: (rank[w], element[w].text()))
     index = {w: j for j, w in enumerate(order)}
@@ -267,7 +288,7 @@ def _assemble(
         tuple(element[w] for w in order),
         tuple(rank[w] for w in order),
         tuple(edges),
-        complete,
+        complete=upward,
     )
 
 
@@ -343,11 +364,9 @@ def build_lower_interval(family: str, x: Element) -> WeakOrderPoset:
     >>> [e.text() for e in build_lower_interval("fpf", x).elements]
     ['(1,2)(3,4)(5,6)', '(1,3)(2,4)(5,6)']
     """
-    depth, covers = _down_closure(family, x)
-    top = max(depth.values())
-    rank = {w: top - d for w, d in depth.items()}
-    param = _family(family).param_of(x)
-    return _assemble(family, param, rank, covers, upward=False, complete=False)
+    param = _family_of(family, x).param_of(x)
+    with _gc_paused():
+        return _assemble(family, param, *_down_closure(family, x), upward=False)
 
 
 def maximal_chains(P: WeakOrderPoset, x: Element) -> Iterator[LabeledChain]:

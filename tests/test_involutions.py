@@ -36,6 +36,7 @@ from weakorder import (
     rs_step_involution,
     standard_form,
 )
+from weakorder.involutions import _up_involution
 from weakorder.permutations import (
     compose,
     identity,
@@ -215,6 +216,30 @@ class TestMonoidSteps:
                     assert rs_step_involution(
                         i, rs_step_involution(j, pi)
                     ) == rs_step_involution(j, rs_step_involution(i, pi))
+
+
+def reference_step(i: int, m: tuple[int, ...]) -> tuple[int, ...]:
+    """The monoid step at (i, i+1) on the one-line word m, case by case."""
+    a, b = m[i - 1], m[i]
+    if a == i and b == i + 1:  # both fixed: attach the strand {i, i+1}
+        return m[: i - 1] + (i + 1, i) + m[i + 1 :]
+    if a == i + 1 or a > b:  # the strand {i, i+1} itself, or a descent: no move
+        return m
+
+    def s(v: int) -> int:
+        return {i: i + 1, i + 1: i}.get(v, v)
+
+    return tuple(s(m[s(j) - 1]) for j in range(1, len(m) + 1))  # s_i m s_i
+
+
+@pytest.mark.parametrize(
+    "family, n", [("involution", n) for n in range(1, 8)] + [("fpf", n) for n in (2, 4, 6, 8)]
+)
+def test_up_step_is_the_reference_step(family, n) -> None:
+    for pi in brute_involutions(n) if family == "involution" else brute_fpf(n):
+        m = one_line_word(pi)
+        want = [(i, v) for i in range(1, len(m)) if (v := reference_step(i, m)) != m]
+        assert _up_involution(m) == want
 
 
 _PLUS_CLAN = Clan.from_parts(3, [(1, 2)], {3: 1})

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
+import gc
+
 import pytest
 
 from conftest import brute_clans, brute_fpf, brute_involutions
+import weakorder.posets
 from weakorder import (
     CoverType,
     Involution,
     WeakOrderPoset,
     bottom_element,
+    build_lower_interval,
     build_poset,
     count_maximal_chains,
     drop_cover_types,
@@ -109,6 +114,51 @@ class TestBuild:
         monkeypatch.setattr(weakorder.posets, "element_of_word", counting)
         P = build_poset(family, param)
         assert len(decoded) == len(P) == len(set(decoded))
+
+
+class TestGcPause:
+    """Both builders pause cyclic GC and hand back the caller's state."""
+
+    TOP = inv(4, (1, 4), (2, 3))
+
+    @pytest.fixture(autouse=True)
+    def keep_gc_state(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    def test_enabled_stays_enabled(self) -> None:
+        gc.enable()
+        build_poset("involution", 4)
+        assert gc.isenabled()
+        build_lower_interval("involution", self.TOP)
+        assert gc.isenabled()
+
+    def test_disabled_stays_disabled(self) -> None:
+        gc.disable()
+        build_poset("involution", 4)
+        assert not gc.isenabled()
+        build_lower_interval("involution", self.TOP)
+        assert not gc.isenabled()
+
+    @pytest.mark.parametrize("move", ["up", "down"])
+    def test_restored_after_a_raise(self, monkeypatch, move) -> None:
+        seen = []
+
+        def broken(w):
+            seen.append(gc.isenabled())
+            raise RuntimeError("broken move")
+
+        fam = dataclasses.replace(weakorder.posets._FAMILY["involution"], **{move: broken})
+        monkeypatch.setitem(weakorder.posets._FAMILY, "involution", fam)
+        gc.enable()
+        with pytest.raises(RuntimeError, match="broken move"):
+            if move == "up":
+                build_poset("involution", 4)
+            else:
+                build_lower_interval("involution", self.TOP)
+        assert seen == [False]
+        assert gc.isenabled()
 
 
 class TestIntervals:
