@@ -122,8 +122,6 @@ class FpfInvolution(Involution):
             raise ValueError(
                 f"fixed points {self.fixed_points} present; expected none"
             )
-        if self.n % 2:
-            raise ValueError(f"n must be even for fixed-point-free involutions, got {self.n}")
 
     def as_involution(self) -> Involution:
         """The same element viewed in the poset of all involutions."""

@@ -79,7 +79,6 @@ class CoverType(Enum):
 
 # the members as module globals, cheaper to look up than CoverType.<name>
 _IA1, _IA2, _IB, _IC1, _IC2, _II = CoverType
-_FPF_KINDS = frozenset((_IB, _IC1, _IC2))
 
 
 def crossings(x: Involution | Clan) -> int:
@@ -153,13 +152,16 @@ def _up_clan(w: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
 
 def _cover_types(family: str, w: tuple[int, ...], labels: list[int]) -> tuple[CoverType, ...]:
     """The type of the move up from w along each label.  An fpf cover other
-    than IB/IC1/IC2 is a fault of the step and raises RuntimeError; one subset
-    test finds it, and only then are the labels walked to name it."""
+    than IB/IC1/IC2 is a fault of the step and raises RuntimeError; the kinds
+    are compared by identity, which needs no hashing."""
     kinds = tuple([_cover_type(w, i) for i in labels])
-    if family == "fpf" and not _FPF_KINDS.issuperset(kinds):
-        i, kind = next((i, k) for i, k in zip(labels, kinds) if k not in _FPF_KINDS)
-        text = element_of_word("fpf", w).text()
-        raise RuntimeError(f"fixed-point-free cover of {text} along {i} has type {kind}")
+    if family == "fpf":
+        for i, kind in zip(labels, kinds):
+            if kind is _II or kind is _IA1 or kind is _IA2:
+                text = element_of_word("fpf", w).text()
+                raise RuntimeError(
+                    f"fixed-point-free cover of {text} along {i} has type {kind}"
+                )
     return kinds
 
 

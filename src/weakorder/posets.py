@@ -170,8 +170,9 @@ class LabeledChain:
 class WeakOrderPoset:
     """Immutable labeled Hasse diagram of one weak order, or a piece of one.
 
-    ``elements`` is sorted by (rank, text); ``up[j]`` and ``down[j]`` hold
-    indices into ``edges`` of the covers leaving and entering element j.
+    ``elements`` is sorted by (rank, text), so the bottom is element 0;
+    ``up[j]`` and ``down[j]`` hold the ``Edge``s leaving and entering
+    element j.
     ``complete`` records whether this is a full family poset, so that global
     checks such as the closed-form element count apply, or a derived piece
     (a lower interval or an edge-filtered copy).
@@ -194,13 +195,13 @@ class WeakOrderPoset:
         self.edges = edges
         self.complete = complete
         self._index: dict[Element, int] = {e: j for j, e in enumerate(elements)}
-        up: list[list[int]] = [[] for _ in elements]
-        down: list[list[int]] = [[] for _ in elements]
-        for k, e in enumerate(edges):
-            up[e.lo].append(k)
-            down[e.hi].append(k)
-        self.up: tuple[tuple[int, ...], ...] = tuple(map(tuple, up))
-        self.down: tuple[tuple[int, ...], ...] = tuple(map(tuple, down))
+        up: list[list[Edge]] = [[] for _ in elements]
+        down: list[list[Edge]] = [[] for _ in elements]
+        for e in edges:
+            up[e.lo].append(e)
+            down[e.hi].append(e)
+        self.up: tuple[tuple[Edge, ...], ...] = tuple(map(tuple, up))
+        self.down: tuple[tuple[Edge, ...], ...] = tuple(map(tuple, down))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -297,11 +298,10 @@ def _down_set(P: WeakOrderPoset, target: int) -> set[int]:
     stack = [target]
     while stack:
         j = stack.pop()
-        for k in P.down[j]:
-            lo = P.edges[k].lo
-            if lo not in seen:
-                seen.add(lo)
-                stack.append(lo)
+        for e in P.down[j]:
+            if e.lo not in seen:
+                seen.add(e.lo)
+                stack.append(e.lo)
     return seen
 
 
@@ -382,29 +382,17 @@ def maximal_chains(P: WeakOrderPoset, x: Element) -> Iterator[LabeledChain]:
     """
     target = P.index_of(x)
     keep = _down_set(P, target)
-    start = P.index_of(P.bottom)
-    if start not in keep:
+    if 0 not in keep:
         return
-    if target == start:
-        yield LabeledChain((P.elements[start],), ())
+    if target == 0:
+        yield LabeledChain((P.bottom,), ())
         return
-
-    moves: dict[int, list[tuple[int, int]]] = {}
-
-    def moves_at(j: int) -> list[tuple[int, int]]:
-        got = moves.get(j)
-        if got is None:
-            got = sorted(
-                (P.edges[k].hi, lab)
-                for k in P.up[j]
-                if P.edges[k].hi in keep
-                for lab in P.edges[k].labels
-            )
-            moves[j] = got
-        return got
-
+    moves = {
+        j: sorted((e.hi, lab) for e in P.up[j] if e.hi in keep for lab in e.labels)
+        for j in keep
+    }
     # frame: [element index, label taken into it, outgoing moves, cursor]
-    stack: list[list] = [[start, 0, moves_at(start), 0]]
+    stack: list[list] = [[0, 0, moves[0], 0]]
     while stack:
         frame = stack[-1]
         mv, cur = frame[2], frame[3]
@@ -418,7 +406,7 @@ def maximal_chains(P: WeakOrderPoset, x: Element) -> Iterator[LabeledChain]:
             labels = tuple(f[1] for f in stack[1:]) + (lab,)
             yield LabeledChain(elems, labels)
         else:
-            stack.append([hi, lab, moves_at(hi), 0])
+            stack.append([hi, lab, moves[hi], 0])
 
 
 def count_maximal_chains(P: WeakOrderPoset, x: Element) -> int:
@@ -429,18 +417,16 @@ def count_maximal_chains(P: WeakOrderPoset, x: Element) -> int:
     """
     target = P.index_of(x)
     keep = _down_set(P, target)
-    start = P.index_of(P.bottom)
-    if start not in keep:
+    if 0 not in keep:
         return 0
     counts = {j: 0 for j in keep}
-    counts[start] = 1
+    counts[0] = 1
     # ascending index order is a topological order: ranks only increase
     for j in sorted(keep):
         c = counts[j]
         if c == 0:
             continue
-        for k in P.up[j]:
-            e = P.edges[k]
+        for e in P.up[j]:
             if e.hi in keep:
                 counts[e.hi] += c * len(e.labels)
     return counts[target]

@@ -191,9 +191,11 @@ def wset_involution(pi: Involution) -> WSet:
     Each fixed point c is the one-slot block (c, c), and cycles and fixed
     points are placed together in order of their smaller end:
 
-    - a cycle (a, b) takes two consecutive free slots, b on the left, with
-      no value strictly between a and b in the slots between them
-      (condition 1);
+    - a cycle (a, b) takes two consecutive free slots, b on the left.
+      Condition 1 needs no check: only earlier blocks are placed, each
+      with its smaller end below a, so a placed value in (a, b) is some
+      b0 with a0 < a < b0 < b.  As b0 < b, the rule below puts a0 left
+      of b, and b0 was placed left of a0, so never between b and a;
     - a fixed point takes the first free slot, because every later block
       lands to its right.  Slots only fill along a path, so each step
       scans for free slots from the first free slot of the step before;
@@ -246,11 +248,7 @@ def wset_involution(pi: Involution) -> WSet:
         first[t + 1], out = free[0], []
         for pb, pa in zip(free, free[1:]):
             if pb > last:
-                for v in word[pb + 1 : pa]:
-                    if a < v < b:
-                        break
-                else:
-                    out.append(((pb, b), (pa, a)))
+                out.append(((pb, b), (pa, a)))
         return out
 
     return _collect(pi, rank_involution(pi), _search(n, len(blocks), place))
@@ -366,8 +364,7 @@ def _chain_products(P: WeakOrderPoset) -> "list[set[tuple[int, ...]]]":
     products: list[set[tuple[int, ...]]] = [set() for _ in P.elements]
     products[0].add(tuple(range(1, P.bottom.n + 1)))
     for j, got in enumerate(products):
-        for k in P.up[j]:
-            e = P.edges[k]
+        for e in P.up[j]:
             target = products[e.hi]
             for i in e.labels:
                 for w in got:

@@ -616,3 +616,22 @@ class TestArgumentErrors:
         )
         assert code == 2
         assert "only apply to clans" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["wset", "--family", "clan", "--element", "(1+)(2-)", "--p", "1"],
+             "give both --p and --q or neither"),
+            (["hasse", "--family", "inv", "--p", "1", "--q", "1"],
+             "--p/--q only apply to clans"),
+            (["hasse", "--family", "fpf"], "fpf posets need --n"),
+            (["wset", "--family", "inv", "--n", "0", "--element", "id"],
+             "n must be at least 1, got 0"),
+        ],
+        ids=["wset-p-without-q", "hasse-pq-outside-clans", "hasse-needs-n", "wset-n-0"],
+    )
+    def test_flag_misuse_exits_2(self, capsys, argv, err) -> None:
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {err}\n"

@@ -1,4 +1,5 @@
-"""Every name a module exports resolves, and each module imports only earlier layers."""
+"""Every name a module exports resolves, each module imports only earlier layers,
+and the package holds no assert statement."""
 
 from __future__ import annotations
 
@@ -49,3 +50,15 @@ def test_imports_follow_the_layers(name: str) -> None:
             names = [node.module] if node.module else [a.name for a in node.names]
             bad += [f"line {node.lineno}: .{m}" for m in names if m in later]
     assert not bad, f"{name} imports a later layer: {bad}"
+
+
+def test_no_assert_statements() -> None:
+    # python -O strips asserts, so a check written as one silently vanishes
+    root = pathlib.Path(importlib.import_module("weakorder").__file__).parent
+    hits = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not hits, f"assert statements in the package; raise instead: {hits}"

@@ -171,6 +171,22 @@ class TestConditionFilters:
         assert check_conditions_involution(Permutation((3, 4, 1, 2)), pi)
         assert not check_conditions_involution(Permutation((4, 3, 2, 1)), pi)
 
+    # each word passes every condition but the one named; the generator test
+    # only sees words of length rank, which at n <= 7 never isolate 2-5
+    @pytest.mark.parametrize(
+        "n, cycles, word",
+        [
+            (3, [(1, 3)], (3, 2, 1)),
+            (4, [(1, 2), (3, 4)], (4, 2, 1, 3)),
+            (3, [], (2, 1, 3)),
+            (3, [(2, 3)], (3, 1, 2)),
+            (3, [(1, 2)], (2, 3, 1)),
+        ],
+        ids=["condition-1", "condition-2", "condition-3", "condition-4", "condition-5"],
+    )
+    def test_each_condition_rejects_alone(self, n, cycles, word) -> None:
+        assert not check_conditions_involution(Permutation(word), inv(n, *cycles))
+
     def test_generator_equals_filter(self) -> None:
         for n in range(1, 7):
             perms = all_permutations(n)
