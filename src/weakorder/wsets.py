@@ -29,7 +29,9 @@ the family's construction.
 Each direct construction reaches every member once, so none deduplicates:
 ``WSet`` rejects a repeated member.  ``wset_oracle`` computes the same sets
 by brute force over labeled chains; the test suite certifies that each
-direct construction agrees with it.
+direct construction agrees with it.  ``verify`` compares the oracle's
+words with the validated direct members, so an agreeing W-set is validated
+once; it builds the oracle's ``WSet`` only on a difference.
 
 >>> pi = Involution.from_cycles(4, [(1, 4), (2, 3)])
 >>> [w.as_text(compact=True) for w in wset_involution(pi).members]
@@ -65,6 +67,7 @@ __all__ = [
     "wset_fpf",
     "wset_clan",
     "wstar",
+    "oracle_words",
     "wset_oracle",
 ]
 
@@ -375,11 +378,18 @@ def _chain_products(P: WeakOrderPoset) -> "list[set[tuple[int, ...]]]":
     return products
 
 
+def oracle_words(P: WeakOrderPoset, j: int) -> list[tuple[int, ...]]:
+    """Element j's chain products as sorted words: what ``verify`` compares."""
+    return sorted(_chain_products(P)[j])
+
+
 def wset_oracle(P: WeakOrderPoset, x: Element) -> WSet:
     """Brute-force W-set of x: all products over labeled maximal chains.
 
     Certifies the direct constructions.  Every product comes out at length
     rank(x), which ``WSet`` checks, so no length filtering happens.
+    ``verify`` builds it only where ``oracle_words`` differ from the direct
+    members, as words equal to validated members pass every ``WSet`` check.
     """
     j = P.index_of(x)
-    return _collect(x, P.ranks[j], _chain_products(P)[j])
+    return _collect(x, P.ranks[j], oracle_words(P, j))

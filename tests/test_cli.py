@@ -367,6 +367,27 @@ def test_hasse_output_frozen(capsys, size, dot, js) -> None:
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == js
 
 
+# SHA-256 of `verify` stdout, recorded before an agreeing W-set was validated
+# once instead of once per side; any change to the job list, the counts or
+# the agreement shows here.
+_VERIFY_SHA256 = [
+    ((), "676eebd8ed32bbfad705828b050f5576411245bd96ef552de8a1b70bbe20c2da"),
+    (("--json",), "6d74ebe8c412092a08c5c2faec8673a158dbfa0dd402ed39adea3e86ca00ba9e"),
+    (
+        ("--family", "inv", "--n", "8"),
+        "050c340767b123312bff222e8a50460d9218aa51da90b5a01c152f5b5135fc9e",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    ("flags", "digest"), _VERIFY_SHA256, ids=[" ".join(row[0]) or "bare" for row in _VERIFY_SHA256]
+)
+def test_verify_output_frozen(capsys, flags, digest) -> None:
+    assert run(["verify", *flags]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 class TestRunRank:
     def test_involution(self, capsys) -> None:
         assert run(["rank", "--family", "inv", "--n", "5", "--element", "(1,3)(2,5)"]) == 0
@@ -463,11 +484,16 @@ class TestRunVerify:
         )
         assert got == want
 
-    def test_json_reports_failures(self, capsys, monkeypatch) -> None:
-        import weakorder.cli
-        from weakorder import WSet
+    # faults go in at wsets._chain_products, the oracle's products that both
+    # verify's comparison and wset_oracle read; each fault returns modified
+    # copies and leaves the per-poset cache as it is
 
-        monkeypatch.setattr(weakorder.cli, "wset_oracle", lambda P, x: WSet(x, 0, ()))
+    def test_json_reports_failures(self, capsys, monkeypatch) -> None:
+        import weakorder.wsets
+
+        monkeypatch.setattr(
+            weakorder.wsets, "_chain_products", lambda P: [set() for _ in P.elements]
+        )
         assert run(["verify", "--family", "fpf", "--n", "4", "--json"]) == 1
         captured = capsys.readouterr()
         data = json.loads(captured.out)
@@ -478,22 +504,87 @@ class TestRunVerify:
         assert len(data["failures"]) == 1 + 3
 
     def test_failure_names_dropped_member(self, capsys, monkeypatch) -> None:
-        import weakorder.cli
-        from weakorder import WSet
+        import weakorder.wsets
 
-        real = weakorder.cli.wset_oracle
+        real = weakorder.wsets._chain_products
 
-        def drop_one(P, x):
-            ws = real(P, x)
-            return WSet(ws.element, ws.rank, ws.members[1:])
+        def drop_one(P):
+            return [set(sorted(words)[1:]) for words in real(P)]
 
-        monkeypatch.setattr(weakorder.cli, "wset_oracle", drop_one)
+        monkeypatch.setattr(weakorder.wsets, "_chain_products", drop_one)
         assert run(["verify", "--family", "inv", "--n", "4"]) == 1
         err = capsys.readouterr().err
         assert (
             "involution n=4: W-set mismatch at (1,4)(2,3): "
             "1 only direct ([3,2,4,1]), 0 only oracle"
         ) in err
+
+    @pytest.mark.parametrize(
+        "bad, err",
+        [
+            (
+                lambda n: tuple(range(1, n + 1)),
+                "error: member [1,2,3,4] of (1,4)(2,3) has length 0, expected the rank 2\n",
+            ),
+            (
+                lambda n: (1,) * n,
+                "error: not a permutation of 1..4: (1, 1, 1, 1)\n",
+            ),
+        ],
+        ids=["wrong length", "not a permutation"],
+    )
+    def test_faulty_product_exits_2(self, capsys, monkeypatch, bad, err) -> None:
+        # the top element's smallest product is swapped for a faulty word;
+        # the error is the one verify gave when it built every oracle WSet
+        import weakorder.wsets
+
+        real = weakorder.wsets._chain_products
+
+        def swap_one(P):
+            products = list(real(P))
+            if len(products) > 1:
+                products[-1] = set(sorted(products[-1])[1:]) | {bad(P.bottom.n)}
+            return products
+
+        monkeypatch.setattr(weakorder.wsets, "_chain_products", swap_one)
+        assert run(["verify", "--family", "fpf", "--n", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "fpf n=2: 1 elements, 0 edges, 1/1 W-sets agree [ok]\n"
+        assert captured.err == err
+
+    def test_converts_and_measures_each_member_once(self, monkeypatch) -> None:
+        # the sibling of test_oracle_converts_and_measures_each_member_once:
+        # an agreeing W-set is validated once, on the direct side.  Only
+        # conversions made in wsets count; the rank reads its own elsewhere
+        import sys
+
+        import weakorder.wsets
+        from weakorder import Permutation, wset_direct
+
+        members = [
+            w
+            for n in range(1, 6)
+            for x in build_poset("involution", n).elements
+            for w in wset_direct("involution", x).members
+        ]
+        lengths, conversions = [], []
+        measure, convert = weakorder.wsets.length, Permutation.__post_init__
+
+        def counted_length(w: Permutation) -> int:
+            lengths.append(w)
+            return measure(w)
+
+        def counted_convert(w: Permutation) -> None:
+            # frame 1 is the dataclass __init__, frame 2 its caller
+            if sys._getframe(2).f_globals["__name__"] == "weakorder.wsets":
+                conversions.append(w)
+            convert(w)
+
+        monkeypatch.setattr(weakorder.wsets, "length", counted_length)
+        monkeypatch.setattr(Permutation, "__post_init__", counted_convert)
+        assert run(["verify", "--family", "inv", "--n", "5"]) == 0
+        assert len(members) == 83
+        assert lengths == conversions == members
 
 
 class TestSizeGuard:
