@@ -6,10 +6,13 @@ an involution whose fixed points each carry a sign (+1 or -1); the signature
 (p, q) is read off as p = #{+} + #cycles and q = #{-} + #cycles.
 
 The one-line word is the one codec (``one_line_word``, ``element_of_word``).
-The weak order on each family is generated by the monoid step on that word,
-``rs_step_involution`` / ``rs_step_fpf`` (for clans by the detach and
-conjugation moves on signed words, see the matchings module).  Each step
-either fixes the element or raises its rank by exactly 1.
+All three weak orders come from one monoid action on involutions, and their
+covers are two loops on that word: ``_lengthen`` raises the underlying
+involution one rank step, ``_shorten`` lowers it.  Involutions and fpf
+involutions go up by lengthening; clans go up by shortening, as rank_clan
+is p*q minus the involution rank.  ``rs_step_involution`` / ``rs_step_fpf``
+take the monoid step at one label from ``_lengthen``; it either fixes the
+element or raises its rank by exactly 1.
 
 >>> pi = standard_form(Permutation((3, 4, 1, 2)))
 >>> pi.cycles
@@ -231,33 +234,39 @@ def rank_clan(pi: Clan) -> int:
     return pi.p * pi.q - rank_involution(pi.underlying_involution())
 
 
-def _up_involution(m: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
-    """The monoid step, as (i, upper word) for each i that moves the one-line
-    word m of an involution (m[i-1] == pi(i)).  At (i, i+1): both fixed ->
-    attach the two-cycle (i, i+1); the strand {i, i+1} itself or a descent
-    pi(i) > pi(i+1) -> no move; otherwise conjugate by s_i, which is exactly
-    the case where the length rises by 2 (tests check both against lengths)."""
+# the sign pairs (at i, i+1) a strand {i, i+1} attaches on and detaches into:
+# involutions take _UNSIGNED, fpf involutions none, clans _OPPOSITE
+_UNSIGNED = ((1, 1),)
+_OPPOSITE = ((1, -1), (-1, 1))
+
+
+def _lengthen(pairs: tuple, m: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """(i, new word) for each i at which the underlying involution of m rises
+    one rank step: attach the strand {i, i+1} on two fixed points whose signs
+    are one of ``pairs``, or conjugate by s_i at any other ascent
+    |m[i-1]| < |m[i]| (the strand {i, i+1} reads i+1, i, a descent)."""
     out = []
     for i in range(1, len(m)):
         a, b = m[i - 1], m[i]
-        if a == i and b == i + 1:
-            out.append((i, m[: i - 1] + (i + 1, i) + m[i + 1 :]))
-        elif a != i + 1 and a < b:
-            out.append((i, _conjugate(i, m)))
+        if a * a < b * b:  # |a| < |b|, cheaper than two abs() calls
+            if abs(a) != i or abs(b) != i + 1:
+                out.append((i, _conjugate(i, m)))
+            elif (a // i, b // (i + 1)) in pairs:  # the signs of two fixed points
+                out.append((i, m[: i - 1] + (i + 1, i) + m[i + 1 :]))
     return out
 
 
-def _down_involution(m: tuple[int, ...], detach: bool) -> list[tuple[int, tuple[int, ...]]]:
-    """The inverse step, as (i, lower word) for each i that moves m: detach the
-    strand {i, i+1} (if ``detach``, where fixed points are allowed), conjugate
-    by s_i at a descent, otherwise no move."""
+def _shorten(pairs: tuple, m: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """(i, new word) for each i at which the underlying involution of m falls
+    one rank step: detach the strand {i, i+1} into each sign pair of ``pairs``
+    in order, or conjugate by s_i at a descent |m[i-1]| > |m[i]|."""
     out = []
     for i in range(1, len(m)):
         a, b = m[i - 1], m[i]
         if a == i + 1:
-            if detach:
-                out.append((i, m[: i - 1] + (i, i + 1) + m[i + 1 :]))
-        elif a > b:
+            for s, t in pairs:
+                out.append((i, m[: i - 1] + (s * i, t * (i + 1)) + m[i + 1 :]))
+        elif a * a > b * b:
             out.append((i, _conjugate(i, m)))
     return out
 
@@ -329,7 +338,7 @@ def _rs_step(family: str, i: int, pi: Involution) -> Involution:
     if not 1 <= i <= pi.n - 1:
         raise ValueError(f"step index {i} out of range 1..{pi.n - 1}")
     m = one_line_word(pi)
-    return element_of_word(family, dict(_up_involution(m)).get(i, m))
+    return element_of_word(family, dict(_lengthen(_UNSIGNED, m)).get(i, m))
 
 
 def rs_step_involution(i: int, pi: Involution) -> Involution:

@@ -9,15 +9,16 @@ when a < c < d < b.  The rank of the corresponding involution equals the
 total strand length minus the number of crossings.
 
 The covers are computed on one-line words (``one_line_word``; a clan's
-minus-signed fixed point v reads -v), one move per label i:
+minus-signed fixed point v reads -v) by the two loops of the involutions
+module; this module has none of its own:
 
-- involutions: the monoid step at i, that is attach the strand {i, i+1} on
-  two fixed points or conjugate by s_i at any other ascent; fixed-point-free
-  involutions take the same step, where only conjugation can occur;
-- clans: detach the strand {i, i+1} into the signed fixed points (+,-) and
-  (-,+), two covers under one label, or conjugate by s_i where the
-  underlying involution descends at i, a fixed point carrying its sign;
-- the down-covers of each order undo these moves.
+- involutions and fpf involutions: up-covers ``_lengthen`` (the monoid step:
+  attach the strand {i, i+1} on two fixed points, only for involutions, or
+  conjugate by s_i at any other ascent), down-covers ``_shorten`` (detach
+  it, or conjugate at a descent);
+- clans run the other way: up-covers ``_shorten``, detaching the strand
+  into the signed fixed points (+,-) then (-,+) under one label, down-covers
+  ``_lengthen``, attaching only opposite signs; signs ride under s_i.
 
 On the matching, each move is a local surgery at the vertices i, i+1, and
 ``_cover_type`` names it from the lower word: lengthen a strand onto an
@@ -37,16 +38,18 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
+from functools import partial
 from typing import Callable
 
 from .involutions import (
+    _OPPOSITE,
+    _UNSIGNED,
     Clan,
     FpfInvolution,
     Involution,
-    _conjugate,
-    _down_involution,
+    _lengthen,
     _require,
-    _up_involution,
+    _shorten,
     element_of_word,
     one_line_word,
 )
@@ -130,26 +133,6 @@ def _cover_type(w: tuple[int, ...], i: int) -> CoverType:
     return _IB
 
 
-# On one-line words, the up-covers return (label, upper word) pairs and the
-# down-covers (label, lower word) pairs, at most one per label except for a
-# clan detach, which gives both sign orders under the same label.  The
-# involution up-covers are the monoid step, ``involutions._up_involution``.
-
-
-def _up_clan(w: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
-    """Detach the strand {i, i+1} into (+,-) then (-,+), or conjugate by s_i
-    where the underlying involution descends at i (a sign moving with its
-    fixed point); the mirror of ``downward_covers_clan``."""
-    out = []
-    for i in range(1, len(w)):
-        a, b = w[i - 1], w[i]
-        if a == i + 1:
-            out += [(i, w[: i - 1] + (s * i, -s * (i + 1)) + w[i + 1 :]) for s in (1, -1)]
-        elif abs(a) > abs(b):
-            out.append((i, _conjugate(i, w)))
-    return out
-
-
 def _cover_types(family: str, w: tuple[int, ...], labels: list[int]) -> tuple[CoverType, ...]:
     """The type of the move up from w along each label.  An fpf cover other
     than IB/IC1/IC2 is a fault of the step and raises RuntimeError; the kinds
@@ -180,12 +163,12 @@ def upward_covers_involution(x: Involution) -> list[tuple[int, Involution, Cover
     Generated through the monoid step; several labels may reach the same
     upper involution (the caller merges those into one Hasse edge).
     """
-    return _covers_of("involution", Involution, _up_involution, x)
+    return _covers_of("involution", Involution, partial(_lengthen, _UNSIGNED), x)
 
 
 def upward_covers_fpf(x: FpfInvolution) -> list[tuple[int, FpfInvolution, CoverType]]:
     """Covers in the fixed-point-free order; only types IB, IC1, IC2 occur."""
-    return _covers_of("fpf", FpfInvolution, _up_involution, x)
+    return _covers_of("fpf", FpfInvolution, partial(_lengthen, ()), x)
 
 
 def upward_covers_clan(x: Clan) -> list[tuple[int, Clan, CoverType]]:
@@ -195,7 +178,7 @@ def upward_covers_clan(x: Clan) -> list[tuple[int, Clan, CoverType]]:
     clan rank p*q - rank rises by exactly 1.  A type II move on the strand
     {i, i+1} yields two covers under the same label, one per sign order.
     """
-    return _covers_of("clan", Clan, _up_clan, x)
+    return _covers_of("clan", Clan, partial(_shorten, _OPPOSITE), x)
 
 
 def downward_covers_involution(w: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
@@ -205,13 +188,13 @@ def downward_covers_involution(w: tuple[int, ...]) -> list[tuple[int, tuple[int,
     >>> downward_covers_involution((4, 3, 2, 1))
     [(1, (3, 4, 1, 2)), (2, (4, 2, 3, 1)), (3, (3, 4, 1, 2))]
     """
-    return _down_involution(w, detach=True)
+    return _shorten(_UNSIGNED, w)
 
 
 def downward_covers_fpf(w: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
     """Inverse of ``upward_covers_fpf``: conjugate by s_i at a descent that
     is not the strand {i, i+1}."""
-    return _down_involution(w, detach=False)
+    return _shorten((), w)
 
 
 def downward_covers_clan(w: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
@@ -226,12 +209,4 @@ def downward_covers_clan(w: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]
     >>> downward_covers_clan((1, -2, 4, 3))
     [(1, (2, 1, 4, 3)), (2, (1, 4, -3, 2))]
     """
-    out = []
-    for i in range(1, len(w)):
-        a, b = w[i - 1], w[i]
-        if abs(a) == i and abs(b) == i + 1:
-            if a * b < 0:
-                out.append((i, w[: i - 1] + (i + 1, i) + w[i + 1 :]))
-        elif abs(a) < abs(b):
-            out.append((i, _conjugate(i, w)))
-    return out
+    return _lengthen(_OPPOSITE, w)

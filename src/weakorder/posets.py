@@ -35,14 +35,18 @@ from __future__ import annotations
 import gc
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Iterator, Union
 
 from .involutions import (
+    _OPPOSITE,
+    _UNSIGNED,
     Clan,
     FpfInvolution,
     Involution,
+    _lengthen,
     _require,
-    _up_involution,
+    _shorten,
     bottom_element,
     clan_count,
     element_of_word,
@@ -56,7 +60,6 @@ from .involutions import (
 from .matchings import (
     CoverType,
     _cover_types,
-    _up_clan,
     downward_covers_clan,
     downward_covers_fpf,
     downward_covers_involution,
@@ -104,16 +107,16 @@ class _Family:
 # lambdas look each wset_* up in this module per call, so wrappers set there apply
 _FAMILY = {
     "involution": _Family(
-        Involution, _up_involution, downward_covers_involution, rank_involution,
+        Involution, partial(_lengthen, _UNSIGNED), downward_covers_involution, rank_involution,
         lambda x: wset_involution(x), involution_count, lambda x: x.n, lambda n: [n],
     ),
     "fpf": _Family(
-        FpfInvolution, _up_involution, downward_covers_fpf, rank_fpf, lambda x: wset_fpf(x),
-        fpf_count, lambda x: x.n, lambda n: [n] if n % 2 == 0 else [],
+        FpfInvolution, partial(_lengthen, ()), downward_covers_fpf, rank_fpf,
+        lambda x: wset_fpf(x), fpf_count, lambda x: x.n, lambda n: [n] if n % 2 == 0 else [],
     ),
     "clan": _Family(
-        Clan, _up_clan, downward_covers_clan, rank_clan, lambda x: wset_clan(x),
-        lambda pq: clan_count(*pq), lambda x: (x.p, x.q),
+        Clan, partial(_shorten, _OPPOSITE), downward_covers_clan, rank_clan,
+        lambda x: wset_clan(x), lambda pq: clan_count(*pq), lambda x: (x.p, x.q),
         lambda n: [(p, n - p) for p in range(1, n)],
     ),
 }

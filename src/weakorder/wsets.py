@@ -93,8 +93,9 @@ class WSet:
                     f"member {w} of {self.element.text()} has length {got},"
                     f" expected the rank {self.rank}"
                 )
-        words = [w.word for w in self.members]
-        if sorted(set(words)) != words:
+        # strictly increasing is exactly sorted and duplicate-free
+        members = self.members
+        if any(u.word >= v.word for u, v in zip(members, members[1:])):
             raise ValueError("members must be duplicate-free and sorted by word")
 
     def __len__(self) -> int:

@@ -367,6 +367,135 @@ def test_hasse_output_frozen(capsys, size, dot, js) -> None:
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == js
 
 
+# SHA-256 of `chains` stdout over every element of the poset, in poset order,
+# for plain, --json, --count and --count --json output, recorded before the
+# up- and down-moves of all three families shared two loops; any change to
+# the lower intervals, their chains or their labels shows here.
+_CHAINS_MODES = ((), ("--json",), ("--count",), ("--count", "--json"))
+_CHAINS_SHA256 = [
+    ("involution", 6, [
+        "f2395766175a3d3b9cfa2a4dc06c39bb3beaeee1d158b51d69acfa8b429ab0a8",
+        "b7eef31cfe16e6268cec52dba300dde7a349e47f1aaef8ffae5205051b9b05b7",
+        "316ae53972f315c81cada647c20a328babc5aa2f04c9c129b2306e892e7152c3",
+        "86b968bc121fd12f783d00e9a4f1f2f2a9e2b22dd7fafdc5087e252fae8b17a7",
+    ]),
+    ("fpf", 8, [
+        "f6c48dcc831743419d1ea7ccadf4131ac30ebeb5f8046e645a9d709f11db3b90",
+        "7dbe2d6a237d216b8a8d0041fa644a899948af81b111230982d3bff732855e08",
+        "a955a7570ef612ec6bb8cb13869e499bbae57359783c3d5e3cb0b33f917a9a44",
+        "45276adfae5bd0e2fb58759f703f0155bb21473b3790491ccaa719e4addb3349",
+    ]),
+    ("clan", (1, 1), [
+        "b166be9a906fd40431e10072010c284fb46c548e28d4a569ac72ead9cb4b965c",
+        "8f8258f5ed4ee6b563147fdc12f87c0544fee46a9064334b5ec07a5797f6b4db",
+        "ccce065269620747ca153e9a430d44b175cdc1f7e0958741b567250a1d6b1d95",
+        "551ec87207afad382f5a4bc0c64db97b6c5f20bdb62e5f4ab9d158b26d897864",
+    ]),
+    ("clan", (1, 2), [
+        "1df464bf56c060a89034f2046a45f382e4bd52debb41e3d63540a1b5df9668ce",
+        "6edbce6fa15bd752c2030d396f13a0efb91553d155c4dba4e11680cb91bedd83",
+        "fc99b27a05eb7ca1581da764a20897b90bf0725f9429609fcc0543876821f860",
+        "c6f444b6be509415d32b6b5cd9cef70ff41837dca20a53e3cec877b0428fb68b",
+    ]),
+    ("clan", (2, 1), [
+        "01578b618ee2743743fb7c49a84c85139dc61316a8ca63f7dc589d3aa0a72c64",
+        "f5485cb876ee00248b18d8f422571c63ea6b37f5ecf4ce29d2e006f195dd5be4",
+        "fc99b27a05eb7ca1581da764a20897b90bf0725f9429609fcc0543876821f860",
+        "de87f6abb7bc297702a5f67e70cfa27349e4e0d5d1bb5167d4b4d12bf47b5fe8",
+    ]),
+    ("clan", (1, 3), [
+        "a5caa4e3a2c3e6de2c24dd4d3f8a4498e6af3f69570c5dd5d64d84fbf884147b",
+        "582d07d5fd0fdf849d876850eaf0a9d147a88e56e11f637492fcda0f7bff9f9d",
+        "8e64b6bbe198f2776de1e1be492580cbe0ee67671d53e89ea51c89aceba5e4f0",
+        "7bd774b089306d7604301f9efbe1e08c1be04330f2a1876aada6420cabdd5510",
+    ]),
+    ("clan", (2, 2), [
+        "540c14745c9a5a8ce9e2182279707664d3ba160d15aa586b407247fa7d237918",
+        "48608b4c3ca2ff4ef1b7e0be087328776ae87eca4b4f05523f2e1a155fc6c699",
+        "b4477694fbad578b075a449eaab77607a7fb4bc03764d6e74001b6bf18b215f7",
+        "d3e50346975ed274e8ca8bb6e2ce2026a4136bc66ea02ddff00fa5cc8ad2253d",
+    ]),
+    ("clan", (3, 1), [
+        "2265b102b4f5ae35e7f488da058567a6d5da4e79f951b2dddd2fec99ca67506b",
+        "83c0615f55498f6d26a442f905a28117a08ef63fa19212fe2cbcef7c8c41fdde",
+        "8e64b6bbe198f2776de1e1be492580cbe0ee67671d53e89ea51c89aceba5e4f0",
+        "8ee034854a14d9b9ea28dd08a156a0e83bde864b0294cd6eba581bba26ead4b0",
+    ]),
+    ("clan", (1, 4), [
+        "0f559ab83c1ca7d28982516a51cf5f4418e0da6642777f690935703607195d84",
+        "b58ff92e994dfa63d94d215b610aeae3a5c8f06cbd2ea50f64e08f2e66e004f7",
+        "aefe5b4acd34f436ea99a3fa61b56b3feeb59be40bb37046f6cb4800b18e07c7",
+        "9028ff13ddeef3b473ea006aaaca46f2f0d7f669032517721377f2c5d5f73ffb",
+    ]),
+    ("clan", (2, 3), [
+        "269b29a3b71f5e619b47c10103e4880fce31b40bf02d26e22a1e1c3d05022dad",
+        "4ae0bb8be83f74bcfa6beece77c0c24775ecccfb4e60a6cf0b0107ed9760785c",
+        "06998703c8404050ec289fdedd58deb671995ef6f20228738c3ce92b3db1a5fc",
+        "83fb37d04805e23a5256ad1251e1e1a3619bac41e1d11ca547ab2ec8a792f78b",
+    ]),
+    ("clan", (3, 2), [
+        "01da3c912d398bd8d8730a5a48ca7097f0baf738d58ef59ff77f14dd416be17d",
+        "9c724b4f11901d1dc49b04ccdd654890116f097134763da1a063bf335de905fd",
+        "9a44f870855000a8dc23013c2dc2e9186aa0203daee7ac0b93694a28b07fc00d",
+        "1a9b30d27cd1448f033e21d2c22c65b006eeda7c5e269c48b2286e4afd848494",
+    ]),
+    ("clan", (4, 1), [
+        "498379a5b069ee9e88d98938da185a28f7d1dde3615b9afd5106cd7b01586575",
+        "addefe0015a8d394187958c313464d7bbfcfcd3f68afa948ccf53e7fa279ffde",
+        "aefe5b4acd34f436ea99a3fa61b56b3feeb59be40bb37046f6cb4800b18e07c7",
+        "cdddeaeb706a9ef3bb5bb7f02de1885e9a13cfa716ba8bd1638a16b0cd2c904e",
+    ]),
+    ("clan", (1, 5), [
+        "876a0952c32f34a0507b5832a43fcbc32ff937985a3911892e91bfb91a44acff",
+        "002d2bb9924972039a6c30a30a3cf4a7542e4dbe706a9115e276cbda062867a4",
+        "540fc693cb4566f2d48b494cab08a43b9a2bcc935311733adefe2c54081385e0",
+        "667da90876c92967cbfe15bd14e65ff81478b755ab0329f7db0b82e3ad2b7b01",
+    ]),
+    ("clan", (2, 4), [
+        "d500b842b348ace751149e98b55a65e04298e73fc33cd28f089f97438dfa774b",
+        "bbd24c565add7d71fc95ca1d0e15fc3aa40096311b85255f57d357ccb6982dc6",
+        "6b61439570c233333ed2eca92708330dfcb7d32f8c27b2f4f155a2b99525b4c7",
+        "e25c310a45b7d7a8a7032a3063ad67f8dcdaea97633e7aa1bcea43cfae39b585",
+    ]),
+    ("clan", (3, 3), [
+        "0707dda87aac680d1f21c7c358e5a5733c3662279f976839a00c7603350c2725",
+        "3082a4bdb1a00674f43978fa11e114d346eddb3f4b8d1e914ceee90419454658",
+        "42b268e0a9f455be1433edc533525b15a0f8a44370eafa34e281de3ab8409c62",
+        "5b6a9720950b50a7fb96f5724867bc8772d55cc67ac32db87bfbfe8d73871b20",
+    ]),
+    ("clan", (4, 2), [
+        "23bc446e443b9979ef39ca15b28a99ca31135bb0fa30135a25396457bededebc",
+        "7d91cd9ac988ca513a623d3d1530799329ed4390b1126f1b0b0199d562d49dd9",
+        "3453528b0dae762bf3c12f2cbcca63958b60297bcbd69ad471aa32d69b5bcd40",
+        "b3339d62724e0f8a0a43d93a42c05db25268dc44e78de9472bb2a9bcfd8d7616",
+    ]),
+    ("clan", (5, 1), [
+        "02a67a9388ad877536482bb5c063e053ff14d99d9bf2921e80adba607b3ffd30",
+        "40ac6c55c9dff23d89f42886dc0154dca624d6f3636e3c622b7716dafd259996",
+        "540fc693cb4566f2d48b494cab08a43b9a2bcc935311733adefe2c54081385e0",
+        "7aadcda59c40f0bba9cf04386a60b845f3c05447c988b78ec6adf570c0290e5c",
+    ]),
+]
+
+
+@pytest.mark.parametrize(
+    ("family", "param", "digests"),
+    _CHAINS_SHA256,
+    ids=[f"{family}-{param}" for family, param, _ in _CHAINS_SHA256],
+)
+def test_chains_output_frozen(capsys, family, param, digests) -> None:
+    elements = build_poset(family, param).elements
+    got = []
+    for mode in _CHAINS_MODES:
+        h = hashlib.sha256()
+        for x in elements:
+            argv = ["chains", "--family", family, "--n", str(x.n), "--element", x.text()]
+            assert run(argv + list(mode)) == 0
+            h.update(capsys.readouterr().out.encode())
+        got.append(h.hexdigest())
+    assert got == digests
+
+
 # SHA-256 of `verify` stdout, recorded before an agreeing W-set was validated
 # once instead of once per side; any change to the job list, the counts or
 # the agreement shows here.

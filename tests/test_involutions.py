@@ -25,6 +25,9 @@ from weakorder import (
     Permutation,
     bottom_element,
     clan_count,
+    downward_covers_clan,
+    downward_covers_fpf,
+    downward_covers_involution,
     element_of_word,
     fpf_count,
     involution_count,
@@ -35,8 +38,10 @@ from weakorder import (
     rs_step_fpf,
     rs_step_involution,
     standard_form,
+    upward_covers_clan,
+    upward_covers_fpf,
+    upward_covers_involution,
 )
-from weakorder.involutions import _up_involution
 from weakorder.permutations import (
     compose,
     identity,
@@ -232,6 +237,18 @@ def reference_step(i: int, m: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(s(m[s(j) - 1]) for j in range(1, len(m) + 1))  # s_i m s_i
 
 
+_UP = {
+    "involution": upward_covers_involution,
+    "fpf": upward_covers_fpf,
+    "clan": upward_covers_clan,
+}
+_DOWN = {
+    "involution": downward_covers_involution,
+    "fpf": downward_covers_fpf,
+    "clan": downward_covers_clan,
+}
+
+
 @pytest.mark.parametrize(
     "family, n", [("involution", n) for n in range(1, 8)] + [("fpf", n) for n in (2, 4, 6, 8)]
 )
@@ -239,7 +256,69 @@ def test_up_step_is_the_reference_step(family, n) -> None:
     for pi in brute_involutions(n) if family == "involution" else brute_fpf(n):
         m = one_line_word(pi)
         want = [(i, v) for i in range(1, len(m)) if (v := reference_step(i, m)) != m]
-        assert _up_involution(m) == want
+        assert [(i, one_line_word(y)) for i, y, _ in _UP[family](pi)] == want
+
+
+def reference_moves(i: int, x: "Involution | Clan", up: bool) -> list:
+    """The covers of x along label i in its own order, up or down, case by case.
+
+    Written on the underlying involution u of x as a permutation.  Where u
+    swaps i and i+1 the strand {i, i+1} may be detached, and where it fixes
+    both it may be attached.  Elsewhere s_i u s_i is a move exactly when it
+    changes the length of u by 2 in the move's direction.  The clan order
+    runs against the involution order, a clan detaches into the sign orders
+    (+,-) then (-,+) and attaches only opposite signs, and each sign rides
+    with its fixed point under s_i.
+    """
+    clan = isinstance(x, Clan)
+    u = (x.underlying_involution() if clan else x).as_permutation()
+    signs = dict(x.signed_fixed_points) if clan else {}
+    cycles = {(a, u(a)) for a in range(1, x.n + 1) if u(a) > a}
+    lengthen = up != clan
+    if u(i) == i + 1:  # the strand {i, i+1}: detach it, going down in u
+        rest = cycles - {(i, i + 1)}
+        if lengthen or isinstance(x, FpfInvolution):
+            return []
+        if not clan:
+            return [Involution.from_cycles(x.n, rest)]
+        return [
+            Clan.from_parts(x.n, rest, {**signs, i: sign, i + 1: -sign}) for sign in (1, -1)
+        ]
+    if u(i) == i and u(i + 1) == i + 1:  # both fixed: attach, going up in u
+        if not lengthen or (clan and signs[i] == signs[i + 1]):
+            return []
+        rest = {v: sign for v, sign in signs.items() if v not in (i, i + 1)}
+        both = cycles | {(i, i + 1)}
+        return [Clan.from_parts(x.n, both, rest) if clan else type(x).from_cycles(x.n, both)]
+    s = simple_transposition(i, x.n)
+    v = compose(compose(s, u), s)
+    if length(v) - length(u) != (2 if lengthen else -2):
+        return []
+    moved = [(a, v(a)) for a in range(1, x.n + 1) if v(a) > a]
+    if clan:
+        return [Clan.from_parts(x.n, moved, {s(a): sign for a, sign in signs.items()})]
+    return [type(x).from_cycles(x.n, moved)]
+
+
+@pytest.mark.parametrize(
+    "family, size",
+    [("involution", n) for n in range(1, 8)]
+    + [("fpf", n) for n in (2, 4, 6, 8)]
+    + [("clan", (p, total - p)) for total in range(2, 7) for p in range(1, total)],
+)
+def test_covers_are_the_reference_moves(family, size) -> None:
+    elements = {
+        "involution": brute_involutions,
+        "fpf": brute_fpf,
+        "clan": lambda pq: brute_clans(*pq),
+    }[family](size)
+    for x in elements:
+        labels = range(1, x.n)
+        want_up = [(i, y) for i in labels for y in reference_moves(i, x, up=True)]
+        want_down = [(i, y) for i in labels for y in reference_moves(i, x, up=False)]
+        assert [(i, y) for i, y, _ in _UP[family](x)] == want_up, x.text()
+        down = _DOWN[family](one_line_word(x))
+        assert [(i, element_of_word(family, v)) for i, v in down] == want_down, x.text()
 
 
 _PLUS_CLAN = Clan.from_parts(3, [(1, 2)], {3: 1})
