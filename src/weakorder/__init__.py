@@ -22,10 +22,8 @@ from .involutions import (
     Involution,
     bottom_element,
     clan_count,
-    element_of_word,
     fpf_count,
     involution_count,
-    one_line_word,
     rank_clan,
     rank_fpf,
     rank_involution,
@@ -103,14 +101,12 @@ __all__ = [
     "downward_covers_fpf",
     "downward_covers_involution",
     "drop_cover_types",
-    "element_of_word",
     "fpf_count",
     "involution_count",
     "lower_interval",
     "matching_length",
     "maximal_chains",
     "nestings",
-    "one_line_word",
     "rank_clan",
     "rank_fpf",
     "rank_involution",

@@ -252,9 +252,12 @@ def _cmd_chains(args: argparse.Namespace) -> int:
         return 0
     P = build_lower_interval(args.family, x)
     if args.json:
-        chains = [list(c.labels) for c in maximal_chains(P, x)]
-        payload = {"element": x.text(), "count": len(chains), "chains": chains}
-        print(json.dumps(payload, indent=2))
+        # json.dumps(payload, indent=2) written row by row, as export_json does
+        row = [f"      {i}" for i in range(x.n)]
+        chains = maximal_chains(P, x)
+        rows = ["    " + _array([row[i] for i in c.labels], "    ") for c in chains]
+        head = f'{{\n  "element": {json.dumps(x.text())},\n  "count": {len(rows)},\n'
+        print(f'{head}  "chains": {_array(rows, "  ")}\n}}')
     else:
         for c in maximal_chains(P, x):
             print(",".join(str(i) for i in c.labels))

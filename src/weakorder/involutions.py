@@ -1,13 +1,14 @@
 """Involutions, fixed-point-free involutions, and clans.
 
-An involution is stored in standard form: two-cycles (a_i, b_i) with
-a_i < b_i, sorted by a_i, plus the sorted tuple of fixed points.  A clan is
-an involution whose fixed points each carry a sign (+1 or -1); the signature
-(p, q) is read off as p = #{+} + #cycles and q = #{-} + #cycles.
+An element is its one-line word ``word``, entry i the image of i, checked
+in one pass when it is built.  A clan is an involution whose fixed points
+carry signs, and its word reads -v at a minus-signed fixed point v; the
+signature is p = #{+} + #cycles, q = #{-} + #cycles.  The standard form
+(``cycles``, ``fixed_points``, ``signed_fixed_points``) and ``text()`` are
+read off the word, and ``from_cycles`` / ``from_parts`` build it.
 
-The one-line word is the one codec (``one_line_word``, ``element_of_word``).
 All three weak orders come from one monoid action on involutions, and their
-covers are two loops on that word: ``_lengthen`` raises the underlying
+covers are two loops on the word: ``_lengthen`` raises the underlying
 involution one rank step, ``_shorten`` lowers it.  Involutions and fpf
 involutions go up by lengthening; clans go up by shortening, as rank_clan
 is p*q minus the involution rank.  ``rs_step_involution`` / ``rs_step_fpf``
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, prod
+from typing import Iterable
 
 from .permutations import Permutation, identity, length
 
@@ -38,8 +40,6 @@ __all__ = [
     "rank_clan",
     "rs_step_involution",
     "rs_step_fpf",
-    "one_line_word",
-    "element_of_word",
     "bottom_involution",
     "bottom_fpf",
     "bottom_clan",
@@ -50,159 +50,170 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Involution:
-    """An involution of {1, ..., n} in standard form."""
+def _check(x: "Involution | Clan") -> None:
+    """Raise ValueError unless x.word is the word of an involution of 1..n,
+    n >= 1, in one pass: a fixed point i reads a sign v // i of ``x._SIGNS``,
+    any other entry v lies in 1..n and maps back, word[v] = i."""
+    word, signs, n = x.word, x._SIGNS, len(x.word)
+    if not n:
+        raise ValueError("n must be at least 1, got 0")
+    for i, v in enumerate(word, 1):
+        if v == i or v == -i:
+            if v // i in signs:
+                continue
+        elif 0 < v <= n:
+            if word[v - 1] == i:
+                continue
+            raise ValueError(f"word {word} is no involution: {i} -> {v} -> {word[v - 1]}")
+        raise ValueError(f"word {word}: no {type(x).__name__} reads {v} at {i}")
 
-    n: int
-    cycles: tuple[tuple[int, int], ...]
-    fixed_points: tuple[int, ...]
+
+def _pair_up(n: int, cycles: Iterable[tuple[int, int]]) -> list[int]:
+    """The word of 1..n swapping each (a, b) of ``cycles``; ValueError on a bad vertex."""
+    word = list(range(1, n + 1))
+    for a, b in cycles:
+        if not (0 < a <= n and 0 < b <= n):
+            raise ValueError(f"cycle ({a},{b}) leaves 1..{n}")
+        if a == b or word[a - 1] != a or word[b - 1] != b:
+            raise ValueError(f"cycles {cycles} reuse a vertex")
+        word[a - 1], word[b - 1] = b, a
+    return word
+
+
+class _Element:
+    """What every element reads off its one-line word, ``word``."""
+
+    __slots__ = ()
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be at least 1, got {self.n}")
-        seen = list(self.fixed_points)
-        for a, b in self.cycles:
-            if not a < b:
-                raise ValueError(f"cycle ({a},{b}) not in standard form: need a < b")
-            seen.extend((a, b))
-        if sorted(seen) != list(range(1, self.n + 1)):
-            raise ValueError(
-                f"cycles {self.cycles} and fixed points {self.fixed_points} "
-                f"do not partition 1..{self.n}"
-            )
-        firsts = [a for a, _ in self.cycles]
-        if firsts != sorted(firsts):
-            raise ValueError(f"cycles {self.cycles} not sorted by first entry")
-        if list(self.fixed_points) != sorted(self.fixed_points):
-            raise ValueError(f"fixed points {self.fixed_points} not sorted")
-
-    @classmethod
-    def from_cycles(
-        cls, n: int, cycles: "tuple[tuple[int, int], ...] | list[tuple[int, int]]"
-    ) -> "Involution":
-        """Build from unordered two-cycles; fixed points are the rest of 1..n."""
-        cyc = tuple(sorted(tuple(sorted(ab)) for ab in cycles))
-        used = {v for ab in cyc for v in ab}
-        if len(used) != 2 * len(cyc):
-            raise ValueError(f"cycles {cycles} reuse a vertex")
-        fixed = tuple(v for v in range(1, n + 1) if v not in used)
-        return cls(n, cyc, fixed)
+        _check(self)
 
     @property
-    def num_cycles(self) -> int:
-        return len(self.cycles)
+    def n(self) -> int:
+        return len(self.word)
 
-    def as_permutation(self) -> Permutation:
-        return Permutation(one_line_word(self))
-
-    def image(self, i: int) -> int:
-        for a, b in self.cycles:
-            if i == a:
-                return b
-            if i == b:
-                return a
-        return i
-
-    def text(self) -> str:
-        """Cycle notation with fixed points implicit; "id" when there are none."""
-        if not self.cycles:
-            return "id"
-        return "".join(f"({a},{b})" for a, b in self.cycles)
+    @property
+    def cycles(self) -> tuple[tuple[int, int], ...]:
+        """The two-cycles (a, b), a < b, sorted by a."""
+        return tuple((i, v) for i, v in enumerate(self.word, 1) if v > i)
 
     def __str__(self) -> str:
         return self.text()
+
+
+@dataclass(frozen=True, slots=True)
+class Involution(_Element):
+    """An involution of {1, ..., n}, held as its one-line word."""
+
+    word: tuple[int, ...]
+
+    # the signs a fixed point i may read, as word[i] // i
+    _SIGNS = (1,)
+
+    @classmethod
+    def from_cycles(cls, n: int, cycles: Iterable[tuple[int, int]]) -> "Involution":
+        """Build from unordered two-cycles; fixed points are the rest of 1..n."""
+        return cls(tuple(_pair_up(n, cycles)))
+
+    @property
+    def fixed_points(self) -> tuple[int, ...]:
+        return tuple(i for i, v in enumerate(self.word, 1) if v == i)
+
+    @property
+    def num_cycles(self) -> int:
+        return sum(v > i for i, v in enumerate(self.word, 1))
+
+    def as_permutation(self) -> Permutation:
+        return Permutation(self.word)
+
+    def image(self, i: int) -> int:
+        return self.as_permutation()(i)
+
+    def text(self) -> str:
+        """Cycle notation with fixed points implicit; "id" when there are none."""
+        return "".join(f"({i},{v})" for i, v in enumerate(self.word, 1) if v > i) or "id"
 
 
 class FpfInvolution(Involution):
     """An involution without fixed points; n must be even."""
 
     __slots__ = ()
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.fixed_points:
-            raise ValueError(
-                f"fixed points {self.fixed_points} present; expected none"
-            )
+    _SIGNS = ()
 
     def as_involution(self) -> Involution:
         """The same element viewed in the poset of all involutions."""
-        return Involution(self.n, self.cycles, self.fixed_points)
+        return Involution(self.word)
 
 
 @dataclass(frozen=True, slots=True)
-class Clan:
+class Clan(_Element):
     """An involution whose fixed points carry signs; p, q >= 1 is required.
 
-    ``signed_fixed_points`` holds (vertex, sign) pairs sorted by vertex, with
-    sign +1 or -1.
+    A minus-signed fixed point v reads -v in ``word``; ``signed_fixed_points``
+    holds (vertex, sign) pairs sorted by vertex.
     """
 
-    n: int
-    cycles: tuple[tuple[int, int], ...]
-    signed_fixed_points: tuple[tuple[int, int], ...]
+    word: tuple[int, ...]
+
+    _SIGNS = (1, -1)
 
     def __post_init__(self) -> None:
-        Involution(self.n, self.cycles, tuple(v for v, _ in self.signed_fixed_points))
-        for v, s in self.signed_fixed_points:
-            if s not in (1, -1):
-                raise ValueError(f"sign at vertex {v} must be +1 or -1, got {s}")
-        if self.p < 1 or self.q < 1:
+        _check(self)
+        p, n = self.p, len(self.word)
+        if not 0 < p < n:
             raise ValueError(
-                f"signature ({self.p},{self.q}) invalid: both p and q must be at least 1"
+                f"signature ({p},{n - p}) invalid: both p and q must be at least 1"
             )
 
     @classmethod
     def from_parts(
-        cls,
-        n: int,
-        cycles: "tuple[tuple[int, int], ...] | list[tuple[int, int]]",
-        signs: "dict[int, int] | list[tuple[int, int]]",
+        cls, n: int, cycles: Iterable[tuple[int, int]], signs: "dict[int, int] | Iterable"
     ) -> "Clan":
-        base = Involution.from_cycles(n, cycles)
+        """Build from unordered two-cycles and the sign of every fixed point."""
+        word = _pair_up(n, cycles)
+        fixed = [v for v in range(1, n + 1) if word[v - 1] == v]
         signs = dict(signs)
-        if sorted(signs) != list(base.fixed_points):
+        if sorted(signs) != fixed:
             raise ValueError(
-                f"signs given for {sorted(signs)} but fixed points are {base.fixed_points}"
+                f"signs given for {sorted(signs)} but fixed points are {tuple(fixed)}"
             )
-        signed = tuple((v, signs[v]) for v in base.fixed_points)
-        return cls(n, base.cycles, signed)
+        for v in fixed:
+            if signs[v] not in (1, -1):
+                raise ValueError(f"sign at vertex {v} must be +1 or -1, got {signs[v]}")
+            word[v - 1] = signs[v] * v
+        return cls(tuple(word))
+
+    @property
+    def signed_fixed_points(self) -> tuple[tuple[int, int], ...]:
+        return tuple((i, v // i) for i, v in enumerate(self.word, 1) if v == i or v == -i)
 
     @property
     def p(self) -> int:
-        return len(self.cycles) + sum(1 for _, s in self.signed_fixed_points if s > 0)
+        """The cycles and the + fixed points: the entries with w(i) >= i."""
+        return sum(v >= i for i, v in enumerate(self.word, 1))
 
     @property
     def q(self) -> int:
-        return len(self.cycles) + sum(1 for _, s in self.signed_fixed_points if s < 0)
+        return len(self.word) - self.p
 
     def underlying_involution(self) -> Involution:
-        return Involution(self.n, self.cycles, tuple(v for v, _ in self.signed_fixed_points))
+        return Involution(tuple(map(abs, self.word)))
 
     def text(self) -> str:
         """Cycle notation with every vertex present, signs on one-cycles."""
-        parts: dict[int, str] = {a: f"({a},{b})" for a, b in self.cycles}
-        for v, s in self.signed_fixed_points:
-            parts[v] = f"({v}{'+' if s > 0 else '-'})"
-        return "".join(parts[a] for a in sorted(parts))
-
-    def __str__(self) -> str:
-        return self.text()
+        return "".join(
+            f"({i},{v})" if v > i else f"({i}{'+' if v > 0 else '-'})"
+            for i, v in enumerate(self.word, 1) if v >= i or v == -i
+        )
 
 
 def standard_form(u: Permutation) -> Involution:
-    """Decompose an involutive permutation into sorted cycles and fixed points.
+    """The involution whose one-line word is u's; ValueError if u is none.
 
     >>> standard_form(Permutation((4, 3, 2, 1))).cycles
     ((1, 4), (2, 3))
     """
-    for i in range(1, u.n + 1):
-        if u(u(i)) != i:
-            raise ValueError(f"not an involution: u(u({i})) = {u(u(i))} != {i}")
-    cycles = tuple((i, u(i)) for i in range(1, u.n + 1) if u(i) > i)
-    fixed = tuple(i for i in range(1, u.n + 1) if u(i) == i)
-    return Involution(u.n, cycles, fixed)
+    return Involution(u.word)
 
 
 def rank_involution(pi: Involution) -> int:
@@ -215,14 +226,13 @@ def rank_involution(pi: Involution) -> int:
 
 
 def rank_fpf(pi: FpfInvolution) -> int:
-    """Inversions of the flattened standard-form word (a_1, b_1, ..., a_k, b_k).
-
-    Identity with the all-involutions rank: rank_fpf == rank_involution - k.
+    """rank_involution - k = (length - k) / 2 for the k = n/2 two-cycles, also
+    the inversions of the flattened standard form (a_1, b_1, ..., a_k, b_k).
 
     >>> rank_fpf(FpfInvolution.from_cycles(6, [(1, 6), (2, 5), (3, 4)]))
     6
     """
-    return length(Permutation(tuple(v for ab in pi.cycles for v in ab)))
+    return (length(pi.as_permutation()) - pi.n // 2) // 2
 
 
 def rank_clan(pi: Clan) -> int:
@@ -289,41 +299,6 @@ def _conjugate(i: int, m: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def one_line_word(x: "Involution | Clan") -> tuple[int, ...]:
-    """The one-line word of x, entry i being x(i); a clan carries its signs in
-    the word, a minus-signed fixed point v reading -v.
-
-    >>> one_line_word(Clan.from_parts(4, [(1, 3)], {2: 1, 4: -1}))
-    (3, 2, 1, -4)
-    """
-    word = list(range(1, x.n + 1))
-    for a, b in x.cycles:
-        word[a - 1], word[b - 1] = b, a
-    if isinstance(x, Clan):
-        for v, s in x.signed_fixed_points:
-            word[v - 1] = s * v
-    return tuple(word)
-
-
-# the element type of each family's words; only a clan reads a signed entry
-_WORD_TYPE = {"involution": Involution, "fpf": FpfInvolution, "clan": Clan}
-
-
-def element_of_word(family: str, m: tuple[int, ...]) -> "Involution | Clan":
-    """Inverse of ``one_line_word`` for the named family: involution | fpf | clan."""
-    kind = _WORD_TYPE.get(family)
-    if kind is None:
-        raise ValueError(f"unknown family {family!r}")
-    signed = kind is Clan
-    cycles, fixed = [], []
-    for i, v in enumerate(m, 1):
-        if v > i:
-            cycles.append((i, v))
-        elif v == i or (signed and v == -i):
-            fixed.append((i, 1 if v > 0 else -1) if signed else i)
-    return kind(len(m), tuple(cycles), tuple(fixed))
-
-
 def _require(what: str, kind: type, x: object, exact: bool = False) -> None:
     """Raise ValueError unless x is a ``kind``, exactly that type if ``exact``."""
     if (type(x) is not kind) if exact else not isinstance(x, kind):
@@ -333,12 +308,11 @@ def _require(what: str, kind: type, x: object, exact: bool = False) -> None:
         )
 
 
-def _rs_step(family: str, i: int, pi: Involution) -> Involution:
-    _require(f"rs_step_{family}", _WORD_TYPE[family], pi)
+def _rs_step(name: str, kind: type, i: int, pi: Involution) -> Involution:
+    _require(name, kind, pi)
     if not 1 <= i <= pi.n - 1:
         raise ValueError(f"step index {i} out of range 1..{pi.n - 1}")
-    m = one_line_word(pi)
-    return element_of_word(family, dict(_lengthen(_UNSIGNED, m)).get(i, m))
+    return kind(dict(_lengthen(_UNSIGNED, pi.word)).get(i, pi.word))
 
 
 def rs_step_involution(i: int, pi: Involution) -> Involution:
@@ -347,7 +321,7 @@ def rs_step_involution(i: int, pi: Involution) -> Involution:
     >>> rs_step_involution(1, standard_form(identity(4))).cycles
     ((1, 2),)
     """
-    return _rs_step("involution", i, pi)
+    return _rs_step("rs_step_involution", Involution, i, pi)
 
 
 def rs_step_fpf(i: int, pi: FpfInvolution) -> FpfInvolution:
@@ -356,19 +330,19 @@ def rs_step_fpf(i: int, pi: FpfInvolution) -> FpfInvolution:
     This is the restriction of the all-involutions step: with no fixed
     points available the attach branch never fires.
     """
-    return _rs_step("fpf", i, pi)
+    return _rs_step("rs_step_fpf", FpfInvolution, i, pi)
 
 
 def bottom_involution(n: int) -> Involution:
     """The identity involution, the unique rank-0 element."""
-    return Involution(n, (), tuple(range(1, n + 1)))
+    return Involution.from_cycles(n, ())
 
 
 def bottom_fpf(n: int) -> FpfInvolution:
     """(1,2)(3,4)...(n-1,n), the unique rank-0 fixed-point-free involution."""
     if n < 2 or n % 2:
         raise ValueError(f"n must be a positive even integer, got {n}")
-    return FpfInvolution(n, tuple((i, i + 1) for i in range(1, n, 2)), ())
+    return FpfInvolution.from_cycles(n, [(i, i + 1) for i in range(1, n, 2)])
 
 
 def bottom_clan(p: int, q: int) -> Clan:
@@ -383,12 +357,10 @@ def bottom_clan(p: int, q: int) -> Clan:
     """
     if p < 1 or q < 1:
         raise ValueError(f"signature ({p},{q}) invalid: both p and q must be at least 1")
-    n = p + q
-    m = min(p, q)
-    cycles = tuple((i, n + 1 - i) for i in range(1, m + 1))
+    n, m = p + q, min(p, q)
+    cycles = [(i, n + 1 - i) for i in range(1, m + 1)]
     sign = 1 if p >= q else -1
-    signed = tuple((v, sign) for v in range(m + 1, n - m + 1))
-    return Clan(n, cycles, signed)
+    return Clan.from_parts(n, cycles, {v: sign for v in range(m + 1, n - m + 1)})
 
 
 def bottom_element(family: str, param: "int | tuple[int, int]"):

@@ -3,14 +3,14 @@
 Drawn as a matching, an involution or a clan turns each two-cycle into a
 strand {a, b} above the number line and each fixed point into an isolated
 vertex, signed for clans.  ``crossings``, ``nestings`` and ``matching_length``
-read the strands off ``x.cycles`` of any element.
+read the strands off ``x.cycles``, which every element reads off its word.
 Two strands {a, b} and {c, d} with a < c cross when a < c < b < d and nest
 when a < c < d < b.  The rank of the corresponding involution equals the
 total strand length minus the number of crossings.
 
-The covers are computed on one-line words (``one_line_word``; a clan's
-minus-signed fixed point v reads -v) by the two loops of the involutions
-module; this module has none of its own:
+The covers are computed on the elements' one-line words (``x.word``; a
+clan's minus-signed fixed point v reads -v) by the two loops of the
+involutions module; this module has none of its own:
 
 - involutions and fpf involutions: up-covers ``_lengthen`` (the monoid step:
   attach the strand {i, i+1} on two fixed points, only for involutions, or
@@ -27,8 +27,8 @@ adjacent isolated vertex (IA1/IA2), cross two disjoint adjacent strands
 isolated vertices (II).  Fixed-point-free covers are of types IB/IC
 only; clan covers are the opposite surgeries (shorten, uncross to disjoint,
 nest to crossing, detach), as the clan order runs against the involution
-order.  ``upward_covers_*`` present the up-covers on the family's own
-element type (``Involution``, ``FpfInvolution``, ``Clan``).
+order.  ``upward_covers_*`` build each upper word into the family's own
+element type (``Involution``, ``FpfInvolution``, ``Clan``), which checks it.
 
 Cover types are metadata: poset structure never depends on them, but they
 drive edge styling in DOT output and the IC-deletion experiments.
@@ -50,8 +50,6 @@ from .involutions import (
     _lengthen,
     _require,
     _shorten,
-    element_of_word,
-    one_line_word,
 )
 
 __all__ = [
@@ -141,7 +139,7 @@ def _cover_types(family: str, w: tuple[int, ...], labels: list[int]) -> tuple[Co
     if family == "fpf":
         for i, kind in zip(labels, kinds):
             if kind is _II or kind is _IA1 or kind is _IA2:
-                text = element_of_word("fpf", w).text()
+                text = FpfInvolution(w).text()
                 raise RuntimeError(
                     f"fixed-point-free cover of {text} along {i} has type {kind}"
                 )
@@ -151,10 +149,10 @@ def _cover_types(family: str, w: tuple[int, ...], labels: list[int]) -> tuple[Co
 def _covers_of(family: str, kind: type, up: Callable, x: Involution | Clan) -> list:
     """The up-covers of x, exactly a ``kind``, as (label, upper, type)."""
     _require(f"family {family!r}", kind, x, exact=True)
-    w = one_line_word(x)
+    w = x.word
     moves = up(w)
     kinds = _cover_types(family, w, [i for i, _ in moves])
-    return [(i, element_of_word(family, v), t) for (i, v), t in zip(moves, kinds)]
+    return [(i, kind(v), t) for (i, v), t in zip(moves, kinds)]
 
 
 def upward_covers_involution(x: Involution) -> list[tuple[int, Involution, CoverType]]:

@@ -3,8 +3,8 @@
 One breadth-first closure on one-line words, ``permutations._closure``,
 builds every poset: from the bottom's word under the family's up-covers, or
 from x's word under the down-covers for [bottom, x] alone (see the matchings
-module).  Each word is decoded into an element, and each cover label
-classified by ``matchings._cover_types``, once the closure is done.
+module).  Each word becomes an element, checked once, and each cover label
+is classified by ``matchings._cover_types``, once the closure is done.
 Elements are sorted by (rank, text), so indices are stable and
 rank-monotone: every edge points from a lower index to a strictly higher
 one, and dynamic programs can sweep the element list in order.
@@ -49,10 +49,8 @@ from .involutions import (
     _shorten,
     bottom_element,
     clan_count,
-    element_of_word,
     fpf_count,
     involution_count,
-    one_line_word,
     rank_clan,
     rank_fpf,
     rank_involution,
@@ -251,7 +249,7 @@ def build_poset(family: str, param: "int | tuple[int, int]") -> WeakOrderPoset:
     >>> len(build_poset("clan", (2, 2)).maximal_elements())
     6
     """
-    bottom = one_line_word(bottom_element(family, param))
+    bottom = bottom_element(family, param).word
     up = _family(family).up
     with _gc_paused():
         return _assemble(family, param, *_closure(bottom, up), upward=True)
@@ -266,14 +264,15 @@ def _assemble(
 ) -> WeakOrderPoset:
     """The poset on the words of ``depth`` with one cover per (label, word)
     move of ``covers``, up from the key if ``upward``, else down to the move's
-    word: each word decoded once, elements sorted by (rank, text), the labels
+    word: one element per word, elements sorted by (rank, text), the labels
     of one element pair merged into one edge.  Rank is depth, counted down
     from the top if not ``upward``; an upward closure, from the bottom, is a
     complete poset.  Callers pass the closure inline, so that it is freed
     here, before ``_gc_paused`` restores the collector."""
     top = 0 if upward else max(depth.values())
     rank = depth if upward else {w: top - d for w, d in depth.items()}
-    element = {w: element_of_word(family, w) for w in rank}
+    kind = _FAMILY[family].element
+    element = {w: kind(w) for w in rank}
     order = sorted(rank, key=lambda w: (rank[w], element[w].text()))
     index = {w: j for j, w in enumerate(order)}
     edge_labels: dict[tuple[int, int], list[int]] = {}
@@ -333,13 +332,12 @@ def _down_closure(family: str, x: Element) -> Closure:
     bottom has no down-cover.
     """
     fam = _family_of(family, x)
-    bottom = one_line_word(bottom_element(family, fam.param_of(x)))
-    depth, covers = _closure(one_line_word(x), fam.down)
+    bottom = bottom_element(family, fam.param_of(x)).word
+    depth, covers = _closure(x.word, fam.down)
     for w, got in covers.items():
         if not got and w != bottom:
             raise RuntimeError(
-                f"{element_of_word(family, w).text()} has no down-cover "
-                f"but is not the {family} bottom"
+                f"{fam.element(w).text()} has no down-cover but is not the {family} bottom"
             )
     return depth, covers
 

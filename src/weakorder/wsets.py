@@ -21,7 +21,8 @@ Each family also admits a direct construction that never touches the poset:
   left), until only same-sign isolated vertices remain in the middle.
 
 All three constructions are placement rules on one explicit-stack loop,
-``_search``, so none recurses.  They, and the oracle, work on one-line
+``_search``, so none recurses.  Each reads the element's standard form off
+its word once, before the search.  They, and the oracle, work on one-line
 tuples: ``_collect`` turns each member into a ``Permutation`` once, and
 ``WSet`` checks each member's length once.  ``posets.wset_direct`` picks
 the family's construction.
@@ -50,7 +51,6 @@ from .involutions import (
     Clan,
     FpfInvolution,
     Involution,
-    one_line_word,
     rank_clan,
     rank_fpf,
     rank_involution,
@@ -171,19 +171,20 @@ def check_conditions_involution(w: Permutation, pi: Involution) -> bool:
     if w.n != pi.n:
         raise ValueError(f"size mismatch: permutation on {w.n}, involution on {pi.n}")
     pos = {v: s for s, v in enumerate(w.word)}
-    for a, b in pi.cycles:
+    cycles, fixed = pi.cycles, pi.fixed_points
+    for a, b in cycles:
         pa, pb = pos[a], pos[b]
         if not pb < pa or any(pb < pos[x] < pa for x in range(a + 1, b)):
             return False
-    for (a1, b1), (a2, b2) in itertools.combinations(pi.cycles, 2):
+    for (a1, b1), (a2, b2) in itertools.combinations(cycles, 2):
         # standard form sorts cycles by first entry, so a1 < a2 here
         if b1 < b2 and not pos[a1] < pos[b2]:
             return False
-    for c1, c2 in itertools.combinations(pi.fixed_points, 2):
+    for c1, c2 in itertools.combinations(fixed, 2):
         if not pos[c1] < pos[c2]:
             return False
-    for a, b in pi.cycles:
-        for c in pi.fixed_points:
+    for a, b in cycles:
+        for c in fixed:
             if (c < a and not pos[c] < pos[b]) or (b < c and not pos[a] < pos[c]):
                 return False
     return True
@@ -226,8 +227,8 @@ def wset_involution(pi: Involution) -> WSet:
     ['31452', '31524']
     """
     n, cycles = pi.n, pi.cycles
-    blocks = sorted(cycles + tuple((c, c) for c in pi.fixed_points))
-    mate = (0,) + one_line_word(pi)
+    blocks = [(a, b) for a, b in enumerate(pi.word, 1) if b >= a]
+    mate = (0,) + pi.word
     room = [sum(a < mate[v] < b for v in range(a + 1, b)) for a, b in blocks]
     # before[t]: how many cycles come before block t, all of them placed
     before = [bisect_left(cycles, (a,)) for a, b in blocks]
@@ -273,15 +274,16 @@ def wset_fpf(pi: FpfInvolution) -> WSet:
     ['1423', '2314']
     """
 
+    n, cycles = pi.n, pi.cycles
     def place(t: int, word: list[int], pos: list[int]) -> list[_Choice]:
-        low, out = pi.n + 1, []
-        for a, b in pi.cycles:
+        low, out = n + 1, []
+        for a, b in cycles:
             if pos[a] < 0 and b < low:
                 low = b
                 out.append(((2 * t, a), (2 * t + 1, b)))
         return out
 
-    return _collect(pi, rank_fpf(pi), _search(pi.n, len(pi.cycles), place))
+    return _collect(pi, rank_fpf(pi), _search(n, len(cycles), place))
 
 
 def wstar(n: int) -> Permutation:
@@ -323,10 +325,9 @@ def wset_clan(pi: Clan) -> WSet:
     ['2341', '3142']
     """
     n, last = pi.n, min(pi.p, pi.q)
-    mate = [0] * (n + 1)
-    for a, b in pi.cycles:
-        mate[a], mate[b] = b, a
-    sign = dict(pi.signed_fixed_points)
+    # mate[v]: the other end of v's strand, or 0; sign[v]: v's sign if isolated, or 0
+    mate = [0] + [v if v > 0 and v != i else 0 for i, v in enumerate(pi.word, 1)]
+    sign = [0] + [v // i if v == i or v == -i else 0 for i, v in enumerate(pi.word, 1)]
 
     def peel(t: int, word: list[int], pos: list[int]) -> list[_Choice]:
         if t == last:
@@ -340,7 +341,7 @@ def wset_clan(pi: Clan) -> WSet:
                 if reach < w:
                     out.append(((t, v), (n - 1 - t, w)))
                     reach = w
-            elif sign.get(prev) == -sign[v] and reach < v:
+            elif sign[prev] == -sign[v] and reach < v:
                 out.append(((t, v), (n - 1 - t, prev)))
             prev = v
         return out

@@ -7,7 +7,6 @@ import pytest
 from atoms import atoms_demazure, demazure, descent_word, inverse
 from conftest import brute_fpf, brute_involutions
 from weakorder import Involution, wset_fpf, wset_involution
-from weakorder.involutions import one_line_word
 
 
 def test_demazure_product_small_cases() -> None:
@@ -35,17 +34,17 @@ def test_convention_frozen() -> None:
 def test_involution_wsets_are_inverted_atoms(n: int) -> None:
     atoms = atoms_demazure(n)
     involutions = brute_involutions(n)
-    assert set(atoms) == {one_line_word(pi) for pi in involutions}
+    assert set(atoms) == {pi.word for pi in involutions}
     for pi in involutions:
         got = {w.word for w in wset_involution(pi).members}
-        assert got == {inverse(a) for a in atoms[one_line_word(pi)]}, pi.text()
+        assert got == {inverse(a) for a in atoms[pi.word]}, pi.text()
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_fpf_wsets_are_inverted_fpf_atoms(n: int) -> None:
     atoms = atoms_demazure(n, fpf=True)
     fpf = brute_fpf(n)
-    assert set(atoms) == {one_line_word(pi) for pi in fpf}
+    assert set(atoms) == {pi.word for pi in fpf}
     for pi in fpf:
         got = {w.word for w in wset_fpf(pi).members}
-        assert got == {inverse(a) for a in atoms[one_line_word(pi)]}, pi.text()
+        assert got == {inverse(a) for a in atoms[pi.word]}, pi.text()

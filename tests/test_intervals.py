@@ -25,10 +25,8 @@ from weakorder import (
     downward_covers_clan,
     downward_covers_fpf,
     downward_covers_involution,
-    element_of_word,
     lower_interval,
     maximal_chains,
-    one_line_word,
 )
 from weakorder.cli import run
 
@@ -59,9 +57,8 @@ def test_down_covers_invert_up_covers(family, param) -> None:
         for i in e.labels:
             want[P.elements[e.hi]].add((i, P.elements[e.lo]))
     for y in P.elements:
-        w = one_line_word(y)
-        assert element_of_word(family, w) == y
-        got = [(i, element_of_word(family, v)) for i, v in DOWN[family](w)]
+        kind = type(y)
+        got = [(i, kind(v)) for i, v in DOWN[family](y.word)]
         assert len(got) == len(set(got)), y.text()
         assert set(got) == want[y], y.text()
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -28,10 +30,8 @@ from weakorder import (
     downward_covers_clan,
     downward_covers_fpf,
     downward_covers_involution,
-    element_of_word,
     fpf_count,
     involution_count,
-    one_line_word,
     rank_clan,
     rank_fpf,
     rank_involution,
@@ -254,9 +254,9 @@ _DOWN = {
 )
 def test_up_step_is_the_reference_step(family, n) -> None:
     for pi in brute_involutions(n) if family == "involution" else brute_fpf(n):
-        m = one_line_word(pi)
+        m = pi.word
         want = [(i, v) for i in range(1, len(m)) if (v := reference_step(i, m)) != m]
-        assert [(i, one_line_word(y)) for i, y, _ in _UP[family](pi)] == want
+        assert [(i, y.word) for i, y, _ in _UP[family](pi)] == want
 
 
 def reference_moves(i: int, x: "Involution | Clan", up: bool) -> list:
@@ -317,8 +317,8 @@ def test_covers_are_the_reference_moves(family, size) -> None:
         want_up = [(i, y) for i in labels for y in reference_moves(i, x, up=True)]
         want_down = [(i, y) for i in labels for y in reference_moves(i, x, up=False)]
         assert [(i, y) for i, y, _ in _UP[family](x)] == want_up, x.text()
-        down = _DOWN[family](one_line_word(x))
-        assert [(i, element_of_word(family, v)) for i, v in down] == want_down, x.text()
+        down = _DOWN[family](x.word)
+        assert [(i, type(x)(v)) for i, v in down] == want_down, x.text()
 
 
 _PLUS_CLAN = Clan.from_parts(3, [(1, 2)], {3: 1})
@@ -355,22 +355,154 @@ def test_involution_step_accepts_fpf() -> None:
 
 
 @pytest.mark.parametrize(
-    "family, word, error",
+    "kind, word, error",
     [
-        ("foo", (1,), "unknown family 'foo'"),
-        ("involution", (-1, 2), "cycles () and fixed points (2,) do not partition 1..2"),
-        ("fpf", (1, 2), "fixed points (1, 2) present; expected none"),
-        ("clan", (1, -2), None),
+        (Involution, (-1, 2), "word (-1, 2): no Involution reads -1 at 1"),
+        (FpfInvolution, (1, 2), "word (1, 2): no FpfInvolution reads 1 at 1"),
+        (Clan, (1, -2), None),
     ],
+    ids=["involution", "fpf", "clan"],
 )
-def test_element_of_word_decodes_only_its_family(family, word, error) -> None:
-    # only a clan reads a signed entry; an fpf element has no fixed point
+def test_constructor_reads_only_its_family(kind, word, error) -> None:
+    # only a clan reads a signed entry; an fpf word has no fixed point
     if error is None:
-        assert one_line_word(element_of_word(family, word)) == word
+        assert kind(word).word == word
         return
     with pytest.raises(ValueError) as raised:
-        element_of_word(family, word)
+        kind(word)
     assert str(raised.value) == error
+
+
+def _words(kind, *rows):
+    return [(f"{kind.__name__}{word}", partial(kind, word), error) for word, error in rows]
+
+
+_EMPTY = "n must be at least 1, got 0"
+
+# Each input here also raised ValueError when the elements were stored in
+# standard form, the words going through the word decoder of their family,
+# except the last two rows: the decoder read (2, -1, 3) as (1,2)(3+) and
+# (3, 4, 2, 1) as (1,3)(2,4).
+_REJECTED = [
+    *_words(
+        Involution,
+        ((), _EMPTY),
+        ((1, 5), "word (1, 5): no Involution reads 5 at 2"),
+        ((0,), "word (0,): no Involution reads 0 at 1"),
+        ((2, 3, 1), "word (2, 3, 1) is no involution: 1 -> 2 -> 3"),
+        ((-1, 2), "word (-1, 2): no Involution reads -1 at 1"),
+    ),
+    *_words(
+        FpfInvolution,
+        ((), _EMPTY),
+        ((2, 1, 5, 3), "word (2, 1, 5, 3): no FpfInvolution reads 5 at 3"),
+        ((0, 1), "word (0, 1): no FpfInvolution reads 0 at 1"),
+        ((2, 3, 4, 1), "word (2, 3, 4, 1) is no involution: 1 -> 2 -> 3"),
+        ((-1, -2), "word (-1, -2): no FpfInvolution reads -1 at 1"),
+        ((2, 1, 3), "word (2, 1, 3): no FpfInvolution reads 3 at 3"),
+    ),
+    *_words(
+        Clan,
+        ((), _EMPTY),
+        ((1, 5), "word (1, 5): no Clan reads 5 at 2"),
+        ((1, 0), "word (1, 0): no Clan reads 0 at 2"),
+        ((2, 3, 1), "word (2, 3, 1) is no involution: 1 -> 2 -> 3"),
+        ((-2, 1, 3), "word (-2, 1, 3): no Clan reads -2 at 1"),
+        ((-1, -2), "signature (0,2) invalid: both p and q must be at least 1"),
+        ((1, 2), "signature (2,0) invalid: both p and q must be at least 1"),
+    ),
+    ("from_cycles out of range", lambda: Involution.from_cycles(4, [(1, 5)]),
+     "cycle (1,5) leaves 1..4"),
+    ("from_cycles reused", lambda: Involution.from_cycles(4, [(1, 2), (2, 3)]),
+     "cycles [(1, 2), (2, 3)] reuse a vertex"),
+    ("from_cycles (a, a)", lambda: Involution.from_cycles(4, [(2, 2)]),
+     "cycles [(2, 2)] reuse a vertex"),
+    # vertex 0 must not reach word[-1], the slot of vertex n
+    ("from_cycles (0, 1)", lambda: Involution.from_cycles(4, [(0, 1)]),
+     "cycle (0,1) leaves 1..4"),
+    ("from_cycles (0, 4)", lambda: Involution.from_cycles(4, [(0, 4)]),
+     "cycle (0,4) leaves 1..4"),
+    ("from_cycles n = 0", lambda: Involution.from_cycles(0, []), _EMPTY),
+    ("fpf from_cycles out of range", lambda: FpfInvolution.from_cycles(4, [(1, 2), (3, 5)]),
+     "cycle (3,5) leaves 1..4"),
+    ("fpf from_cycles fixed point", lambda: FpfInvolution.from_cycles(3, [(1, 2)]),
+     "word (2, 1, 3): no FpfInvolution reads 3 at 3"),
+    ("from_parts sign 0", lambda: Clan.from_parts(4, [(1, 2)], {3: 1, 4: 0}),
+     "sign at vertex 4 must be +1 or -1, got 0"),
+    ("from_parts sign 2", lambda: Clan.from_parts(4, [(1, 2)], {3: 2, 4: -1}),
+     "sign at vertex 3 must be +1 or -1, got 2"),
+    ("from_parts sign off a fixed point",
+     lambda: Clan.from_parts(4, [(1, 2)], {1: 1, 3: 1, 4: -1}),
+     "signs given for [1, 3, 4] but fixed points are (3, 4)"),
+    ("from_parts sign missing", lambda: Clan.from_parts(4, [(1, 2)], {3: 1}),
+     "signs given for [3] but fixed points are (3, 4)"),
+    ("from_parts out of range", lambda: Clan.from_parts(3, [(1, 4)], {2: 1, 3: -1}),
+     "cycle (1,4) leaves 1..3"),
+    ("from_parts reused", lambda: Clan.from_parts(4, [(1, 2), (2, 3)], {4: 1}),
+     "cycles [(1, 2), (2, 3)] reuse a vertex"),
+    ("from_parts p = 0", lambda: Clan.from_parts(2, [], {1: -1, 2: -1}),
+     "signature (0,2) invalid: both p and q must be at least 1"),
+    *_words(Clan, ((2, -1, 3), "word (2, -1, 3) is no involution: 1 -> 2 -> -1")),
+    *_words(Involution, ((3, 4, 2, 1), "word (3, 4, 2, 1) is no involution: 1 -> 3 -> 2")),
+]
+
+
+@pytest.mark.parametrize("make, error", [r[1:] for r in _REJECTED], ids=[r[0] for r in _REJECTED])
+def test_validation_rejects(make, error) -> None:
+    with pytest.raises(ValueError) as raised:
+        make()
+    assert str(raised.value) == error
+
+
+def test_validation_survives_python_O() -> None:
+    # asserts are stripped under -O; each check must be a real raise
+    code = (
+        "from weakorder import Clan, FpfInvolution, Involution\n"
+        "for make in (lambda: Involution((2, 3, 1)), lambda: FpfInvolution((2, 1, 3)),\n"
+        "             lambda: Clan((-2, 1, 3)), lambda: Clan((1, 2)),\n"
+        "             lambda: Involution.from_cycles(4, [(0, 1)]),\n"
+        "             lambda: Clan.from_parts(4, [(1, 2)], {3: 1, 4: 0})):\n"
+        "    try:\n"
+        "        make()\n"
+        "    except ValueError:\n"
+        "        print('raised')\n"
+    )
+    src = str(Path(weakorder.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.stdout == "raised\n" * 6, done.stderr
+
+
+def _dump(x: "Involution | Clan") -> str:
+    """Every standard-form property of x, its text and its rank, on one line."""
+    if isinstance(x, Clan):
+        return (
+            f"Clan {x.n} {x.cycles} {x.signed_fixed_points} {x.p} {x.q} "
+            f"{x.text()} {rank_clan(x)} {x.underlying_involution().text()}"
+        )
+    extra = ""
+    if isinstance(x, FpfInvolution):
+        extra = f" {rank_fpf(x)} {x.as_involution().text()}"
+    return (
+        f"{type(x).__name__} {x.n} {x.cycles} {x.fixed_points} {x.num_cycles} "
+        f"{x.text()} {rank_involution(x)} {x.as_permutation().word} "
+        f"{tuple(x.image(i) for i in range(1, x.n + 1))}{extra}"
+    )
+
+
+def test_properties_frozen() -> None:
+    # recorded when the standard form was stored, before it was read off the word
+    elements = [pi for n in range(1, 8) for pi in brute_involutions(n)]
+    elements += [pi for n in (2, 4, 6, 8) for pi in brute_fpf(n)]
+    elements += [c for t in range(2, 7) for p in range(1, t) for c in brute_clans(p, t - p)]
+    text = "\n".join(map(_dump, elements)) + "\n"
+    assert len(elements) == 1168
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "aa099281f09ef07553ca0c1292af42e4b4787db725f19961d8372c3aa268ea5c"
+    )
 
 
 class TestBottoms:

@@ -11,10 +11,8 @@ from weakorder import (
     build_lower_interval,
     build_poset,
     crossings,
-    element_of_word,
     matching_length,
     nestings,
-    one_line_word,
     rank_clan,
     rank_fpf,
     rank_involution,
@@ -30,18 +28,18 @@ from weakorder.involutions import Clan, FpfInvolution, Involution, bottom_fpf
 class TestRoundTrips:
     def test_involution_round_trip(self) -> None:
         for pi in brute_involutions(6):
-            w = one_line_word(pi)
-            assert element_of_word("involution", w) == pi
+            w = pi.word
+            assert Involution(w) == pi
             assert {(a, w[a - 1]) for a in range(1, 7) if w[a - 1] > a} == set(pi.cycles)
             assert tuple(a for a in range(1, 7) if w[a - 1] == a) == pi.fixed_points
 
     def test_fpf_round_trip(self) -> None:
         for pi in brute_fpf(6):
-            assert element_of_word("fpf", one_line_word(pi.as_involution())) == pi
+            assert FpfInvolution(pi.as_involution().word) == pi
 
     def test_clan_round_trip(self) -> None:
         for pi in brute_clans(2, 2):
-            assert element_of_word("clan", one_line_word(pi)) == pi
+            assert Clan(pi.word) == pi
 
     def test_partner(self) -> None:
         pi = Involution.from_cycles(4, [(1, 3)])
@@ -51,7 +49,7 @@ class TestRoundTrips:
 
     def test_validation(self) -> None:
         with pytest.raises(ValueError):
-            Involution(3, ((1, 2), (2, 3)), ())
+            Involution((2, 3, 2))
 
 
 class TestStatistics:

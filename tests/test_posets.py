@@ -104,16 +104,21 @@ class TestBuild:
             (weakorder.matchings, "upward_covers_clan"),
         ]:
             monkeypatch.setattr(mod, name, refuse)
-        decoded = []
-        decode = weakorder.posets.element_of_word
+        # every element construction checks its word once: the bottom's,
+        # then one per closure word
+        checked = []
+        check = weakorder.involutions._check
 
-        def counting(fam, w):
-            decoded.append(w)
-            return decode(fam, w)
+        def counting(x):
+            checked.append(x.word)
+            return check(x)
 
-        monkeypatch.setattr(weakorder.posets, "element_of_word", counting)
+        monkeypatch.setattr(weakorder.involutions, "_check", counting)
         P = build_poset(family, param)
-        assert len(decoded) == len(P) == len(set(decoded))
+        assert len(checked) == len(P) + 1
+        assert checked[0] == P.bottom.word
+        assert set(checked[1:]) == {x.word for x in P.elements}
+        assert len(set(checked[1:])) == len(P)
 
 
 class TestGcPause:
