@@ -34,11 +34,11 @@ from .posets import (
     FAMILIES,
     Element,
     WeakOrderPoset,
+    _chain_walk,
     _family,
     build_lower_interval,
     build_poset,
     count_chains_below,
-    maximal_chains,
     verify_graded,
     wset_direct,
 )
@@ -231,13 +231,14 @@ def _cmd_wset(args: argparse.Namespace) -> int:
         raise ValueError("--compact digit form is only defined for n <= 9")
     ws = wset_direct(args.family, x)
     if args.json:
-        payload = {
-            "family": args.family,
-            "element": x.text(),
-            "rank": ws.rank,
-            "members": [list(w.word) for w in ws.members],
-        }
-        print(json.dumps(payload, indent=2))
+        # json.dumps(payload, indent=2) written row by row, as export_json does
+        row = [f"      {v}" for v in range(x.n + 1)]
+        rows = ["    " + _array([row[v] for v in w.word], "    ") for w in ws.members]
+        print(
+            f'{{\n  "family": {json.dumps(args.family)},\n'
+            f'  "element": {json.dumps(x.text())},\n  "rank": {ws.rank},\n'
+            f'  "members": {_array(rows, "  ")}\n}}'
+        )
     else:
         for w in ws.members:
             print(w.as_text(compact=args.compact))
@@ -254,13 +255,13 @@ def _cmd_chains(args: argparse.Namespace) -> int:
     if args.json:
         # json.dumps(payload, indent=2) written row by row, as export_json does
         row = [f"      {i}" for i in range(x.n)]
-        chains = maximal_chains(P, x)
-        rows = ["    " + _array([row[i] for i in c.labels], "    ") for c in chains]
+        chains = _chain_walk(P, x)
+        rows = ["    " + _array([row[i] for i in labels], "    ") for labels, _ in chains]
         head = f'{{\n  "element": {json.dumps(x.text())},\n  "count": {len(rows)},\n'
         print(f'{head}  "chains": {_array(rows, "  ")}\n}}')
     else:
-        for c in maximal_chains(P, x):
-            print(",".join(str(i) for i in c.labels))
+        for labels, _ in _chain_walk(P, x):
+            print(",".join(str(i) for i in labels))
     return 0
 
 

@@ -22,7 +22,6 @@ Conventions, used consistently across the whole package:
 
 from __future__ import annotations
 
-from bisect import bisect
 from dataclasses import dataclass
 from typing import Callable
 
@@ -167,17 +166,17 @@ def compose(u: Permutation, v: Permutation) -> Permutation:
 
 
 def length(u: Permutation) -> int:
-    """Inversions of the one-line word, by bisecting the values seen so far.
+    """Inversions of the one-line word: each value v meets the larger values
+    already seen, the bits above v of a mask of them.
 
     >>> length(identity(5)), length(longest_element(4))
     (0, 6)
     """
-    seen: list[int] = []
+    seen = 0
     inversions = 0
     for v in u.word:
-        i = bisect(seen, v)
-        inversions += len(seen) - i
-        seen.insert(i, v)
+        inversions += (seen >> v).bit_count()
+        seen |= 1 << v
     return inversions
 
 
@@ -237,15 +236,24 @@ def _closure(start: Word, moves: Callable[[Word], Moves]) -> Closure:
     return depth, reached
 
 
-def _count_paths(moves: dict[Word, Moves]) -> int:
-    """Paths from the start of a closure to its words without moves.  Every
-    move leads one level deeper (the orders are graded), so the reversed
-    breadth-first order meets each word after its moves and ends at the start."""
-    counts: dict[Word, int] = {}
-    for w in reversed(moves):
-        got = moves[w]
-        counts[w] = sum(counts[v] for _, v in got) if got else 1
-    return counts[w]
+def _count_paths(start: Word, moves: Callable[[Word], Moves]) -> dict[Word, int]:
+    """Paths from ``start`` under ``moves`` into each word that has no moves,
+    keyed in breadth-first discovery order.  Every move leads one rank on (the
+    orders are graded), so a rank's counts are complete before it is expanded,
+    and only the current rank and the next are held, each a dict from word to
+    its number of paths."""
+    ends: dict[Word, int] = {}
+    rank = {start: 1}
+    while rank:
+        nxt: dict[Word, int] = {}
+        for w, c in rank.items():
+            got = moves(w)
+            if not got:
+                ends[w] = c
+            for _, v in got:
+                nxt[v] = nxt.get(v, 0) + c
+        rank = nxt
+    return ends
 
 
 def _peel(w: Word) -> Moves:
@@ -289,9 +297,10 @@ def reduced_words(u: Permutation) -> set[ReducedWord]:
 
 def count_reduced_words(u: Permutation) -> int:
     """Number of reduced words for u, without materializing them: the paths
-    of the peeling closure.
+    from u's word down to the identity by peeling left descents, counted one
+    length at a time, so that only two lengths of [e, u] are held at once.
 
     >>> count_reduced_words(Permutation((3, 2, 1)))
     2
     """
-    return _count_paths(_closure(u.word, _peel)[1])
+    return sum(_count_paths(u.word, _peel).values())

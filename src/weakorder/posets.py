@@ -7,7 +7,9 @@ module).  Each word becomes an element, checked once, and each cover label
 is classified by ``matchings._cover_types``, once the closure is done.
 Elements are sorted by (rank, text), so indices are stable and
 rank-monotone: every edge points from a lower index to a strictly higher
-one, and dynamic programs can sweep the element list in order.
+one, and dynamic programs can sweep the element list in order.  Counting
+the chains below x needs no poset: ``count_chains_below`` walks x's word
+down one rank at a time with ``permutations._count_paths``.
 
 What differs between the three families (element type, cover moves, rank,
 direct W-set construction, closed-form count, size parameters) sits in one
@@ -322,6 +324,20 @@ def lower_interval(P: WeakOrderPoset, x: Element) -> WeakOrderPoset:
     return WeakOrderPoset(P.family, P.param, elements, ranks, edges, complete=False)
 
 
+def _only_bottom(family: str, param: int | tuple[int, int], ends: Iterable[Word]) -> Word:
+    """The family bottom's word, after checking that each of ``ends``, the
+    words below some x that have no down-cover, in breadth-first order from
+    x, is that bottom.  Raises RuntimeError at the first that is not."""
+    bottom = bottom_element(family, param).word
+    for w in ends:
+        if w != bottom:
+            raise RuntimeError(
+                f"{_FAMILY[family].element(w).text()} has no down-cover "
+                f"but is not the {family} bottom"
+            )
+    return bottom
+
+
 def _down_closure(family: str, x: Element) -> Closure:
     """``_closure`` of x's one-line word under down-covers.
 
@@ -332,13 +348,8 @@ def _down_closure(family: str, x: Element) -> Closure:
     bottom has no down-cover.
     """
     fam = _family_of(family, x)
-    bottom = bottom_element(family, fam.param_of(x)).word
     depth, covers = _closure(x.word, fam.down)
-    for w, got in covers.items():
-        if not got and w != bottom:
-            raise RuntimeError(
-                f"{fam.element(w).text()} has no down-cover but is not the {family} bottom"
-            )
+    _only_bottom(family, fam.param_of(x), (w for w, got in covers.items() if not got))
     return depth, covers
 
 
@@ -346,13 +357,17 @@ def count_chains_below(family: str, x: Element) -> int:
     """Chain count of [bottom, x], exploring only that interval.
 
     Equals ``count_maximal_chains(build_poset(family, ...), x)``: the paths
-    of the down-closure, each (label, lower word) pair one step, counted by
-    the sweep of ``count_reduced_words``.
+    from x's word down to the bottom's, each (label, lower word) down-cover
+    one step, counted one rank at a time by ``_count_paths``, so that only
+    two ranks of the interval are held at once.  Raises RuntimeError if a
+    word other than the family bottom has no down-cover.
 
     >>> count_chains_below("involution", Involution.from_cycles(4, [(1, 4), (2, 3)]))
     8
     """
-    return _count_paths(_down_closure(family, x)[1])
+    fam = _family_of(family, x)
+    ends = _count_paths(x.word, fam.down)
+    return ends[_only_bottom(family, fam.param_of(x), ends)]
 
 
 def build_lower_interval(family: str, x: Element) -> WeakOrderPoset:
@@ -370,6 +385,43 @@ def build_lower_interval(family: str, x: Element) -> WeakOrderPoset:
         return _assemble(family, param, *_down_closure(family, x), upward=False)
 
 
+def _chain_walk(P: WeakOrderPoset, x: Element) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """The labels of every maximal chain of [bottom, x], depth first in a fixed
+    order, each with the element indices it passes below x, bottom first.
+
+    The index list is the walk's own, changed by the next step: copy it to
+    keep it.  One iterator of sorted (upper index, label) moves per element
+    on the path, with no object per chain but its label tuple.
+    """
+    target = P.index_of(x)
+    keep = _down_set(P, target)
+    if 0 not in keep:
+        return
+    if target == 0:
+        yield (), []
+        return
+    moves = {
+        j: sorted((e.hi, lab) for e in P.up[j] if e.hi in keep for lab in e.labels)
+        for j in keep
+    }
+    labels: list[int] = []
+    path = [0]
+    stack = [iter(moves[0])]
+    while stack:
+        for hi, lab in stack[-1]:
+            if hi == target:
+                yield (*labels, lab), path
+            else:
+                labels.append(lab)
+                path.append(hi)
+                stack.append(iter(moves[hi]))
+                break
+        else:
+            stack.pop()
+            path.pop()
+            del labels[-1:]  # the bottom's frame took no label
+
+
 def maximal_chains(P: WeakOrderPoset, x: Element) -> Iterator[LabeledChain]:
     """All label-resolved maximal chains of [bottom, x], lazily, in a fixed order.
 
@@ -381,33 +433,8 @@ def maximal_chains(P: WeakOrderPoset, x: Element) -> Iterator[LabeledChain]:
     >>> [c.labels for c in maximal_chains(P, top)]
     [(1, 2), (2, 1)]
     """
-    target = P.index_of(x)
-    keep = _down_set(P, target)
-    if 0 not in keep:
-        return
-    if target == 0:
-        yield LabeledChain((P.bottom,), ())
-        return
-    moves = {
-        j: sorted((e.hi, lab) for e in P.up[j] if e.hi in keep for lab in e.labels)
-        for j in keep
-    }
-    # frame: [element index, label taken into it, outgoing moves, cursor]
-    stack: list[list] = [[0, 0, moves[0], 0]]
-    while stack:
-        frame = stack[-1]
-        mv, cur = frame[2], frame[3]
-        if cur == len(mv):
-            stack.pop()
-            continue
-        frame[3] += 1
-        hi, lab = mv[cur]
-        if hi == target:
-            elems = tuple(P.elements[f[0]] for f in stack) + (P.elements[hi],)
-            labels = tuple(f[1] for f in stack[1:]) + (lab,)
-            yield LabeledChain(elems, labels)
-        else:
-            stack.append([hi, lab, moves[hi], 0])
+    for labels, path in _chain_walk(P, x):
+        yield LabeledChain(tuple(P.elements[j] for j in path) + (x,), labels)
 
 
 def count_maximal_chains(P: WeakOrderPoset, x: Element) -> int:

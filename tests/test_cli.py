@@ -9,8 +9,10 @@ import time
 import pytest
 
 from conftest import brute_clans, brute_involutions
-from weakorder import Clan, FpfInvolution, Involution, build_poset
+from weakorder import Clan, FpfInvolution, Involution, build_poset, wset_direct
 from weakorder.cli import export_dot, export_json, parse_element, run
+
+_CLANS_UP_TO_6 = [(p, total - p) for total in range(2, 7) for p in range(1, total)]
 
 
 class TestParseElement:
@@ -214,6 +216,27 @@ class TestRunWset:
         )
         assert code == 2
         assert "signature" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "family,params",
+        [("involution", range(1, 7)), ("fpf", (2, 4, 6, 8)), ("clan", _CLANS_UP_TO_6)],
+        ids=["involution", "fpf", "clan"],
+    )
+    def test_json_is_the_nested_payload(self, capsys, family, params) -> None:
+        # written row by row, byte for byte what json.dumps lays out
+        for param in params:
+            for x in build_poset(family, param).elements:
+                argv = ["wset", "--family", family, "--n", str(x.n), "--element", x.text()]
+                assert run(argv + ["--json"]) == 0
+                ws = wset_direct(family, x)
+                payload = {
+                    "family": family,
+                    "element": x.text(),
+                    "rank": ws.rank,
+                    "members": [list(w.word) for w in ws.members],
+                }
+                want = json.dumps(payload, indent=2) + "\n"
+                assert capsys.readouterr().out == want, x.text()
 
 
 class TestRunChains:

@@ -9,6 +9,7 @@ import dataclasses
 import functools
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -135,8 +136,48 @@ def test_chains_never_builds_the_family_poset(monkeypatch) -> None:
 def test_closure_rejects_a_stuck_element(monkeypatch) -> None:
     stuck = dataclasses.replace(weakorder.posets._FAMILY["involution"], down=lambda w: [])
     monkeypatch.setitem(weakorder.posets._FAMILY, "involution", stuck)
-    with pytest.raises(RuntimeError, match="no down-cover"):
-        count_chains_below("involution", Involution.from_cycles(3, [(1, 2)]))
+    x = Involution.from_cycles(3, [(1, 2)])
+    message = r"^\(1,2\) has no down-cover but is not the involution bottom$"
+    for walk in (count_chains_below, build_lower_interval):
+        with pytest.raises(RuntimeError, match=message):
+            walk("involution", x)
+    argv = ["chains", "--family", "inv", "--n", "3", "--element", "(1,2)"]
+    for mode in ([], ["--json"], ["--count"]):
+        with pytest.raises(RuntimeError, match=message):
+            run(argv + mode)
+
+
+def test_first_stuck_element_in_breadth_first_order(monkeypatch) -> None:
+    # every transposition is stuck; below (1,4)(2,3) the walk meets (1,4)
+    # first, though (1,2) and (3,4) sort before it
+    down = weakorder.posets._FAMILY["involution"].down
+
+    def stuck_at_transpositions(w):
+        return [] if sum(v != i for i, v in enumerate(w, 1)) == 2 else down(w)
+
+    stuck = dataclasses.replace(
+        weakorder.posets._FAMILY["involution"], down=stuck_at_transpositions
+    )
+    monkeypatch.setitem(weakorder.posets._FAMILY, "involution", stuck)
+    x = Involution.from_cycles(4, [(1, 4), (2, 3)])
+    message = r"^\(1,4\) has no down-cover but is not the involution bottom$"
+    for walk in (count_chains_below, build_lower_interval):
+        with pytest.raises(RuntimeError, match=message):
+            walk("involution", x)
+
+
+def test_chain_count_holds_two_ranks_at_a_time() -> None:
+    # [bottom, x] at the top of S_10 is all 9 496 involutions; holding them
+    # all with their down-covers peaked at about 9 MB
+    x = Involution.from_cycles(10, [(i, 11 - i) for i in range(1, 6)])
+    tracemalloc.start()
+    try:
+        got = count_chains_below("involution", x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == count_maximal_chains(build_poset("involution", 10), x)
+    assert peak < 2_000_000
 
 
 def test_family_must_match_the_element() -> None:

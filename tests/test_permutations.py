@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -110,6 +112,14 @@ class TestLengthAndDescents:
             word = rng.sample(range(1, 61), 60)
             assert length(Permutation(tuple(word))) == brute_inversions(tuple(word))
 
+    def test_length_is_pairwise_count_across_mask_widths(self) -> None:
+        # the seen-values mask outgrows one machine word at n = 64
+        rng = random.Random(64)
+        for n in (62, 63, 64, 65, 129, 400):
+            for _ in range(5):
+                word = tuple(rng.sample(range(1, n + 1), n))
+                assert length(Permutation(word)) == brute_inversions(word), n
+
     def test_long_word_is_fast(self) -> None:
         n = 3000
         word = tuple(random.Random(n).sample(range(1, n + 1), n))
@@ -174,6 +184,27 @@ class TestReducedWords:
     def test_counts_without_enumeration(self) -> None:
         for u in all_permutations(5):
             assert count_reduced_words(u) == len(reduced_words(u))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_longest_element_count_is_stanleys(self, n) -> None:
+        # Stanley (1984): w0 in S_n has C(n,2)! / prod (2i-1)^(n-i) reduced words
+        denominator = math.prod((2 * i - 1) ** (n - i) for i in range(1, n))
+        assert count_reduced_words(longest_element(n)) * denominator == math.factorial(
+            n * (n - 1) // 2
+        )
+
+    def test_count_holds_two_lengths_at_a_time(self) -> None:
+        # [e, w0] in S_8 has 40 320 words, the largest length 3 836 of them;
+        # holding all of [e, w0] with its moves peaked at about 30 MB
+        u = longest_element(8)
+        tracemalloc.start()
+        try:
+            got = count_reduced_words(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == 48_608_795_688_960
+        assert peak < 4_000_000
 
     @pytest.mark.parametrize("fn", [count_reduced_words, reduced_words])
     def test_long_cycle_does_not_recurse(self, fn) -> None:
