@@ -27,6 +27,8 @@ import json
 import math
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter
 
 from .involutions import Clan, FpfInvolution, Involution
 from .matchings import CoverType
@@ -43,6 +45,8 @@ from .posets import (
     wset_direct,
 )
 from .wsets import oracle_words, wset_oracle
+
+_II = CoverType.II
 
 __all__ = ["parse_element", "export_dot", "export_json", "run", "main"]
 
@@ -129,23 +133,35 @@ def _describe(family: str, param: "int | tuple[int, int]") -> str:
     return f"{family} n={param}"
 
 
+def _numerals(P: WeakOrderPoset) -> list[str]:
+    """``str(v)`` for every v below the larger of the element count and n:
+    every element index and every label (1..n-1) of P, each formatted once
+    per export."""
+    n = P.elements[0].n if P.elements else 0
+    return list(map(str, range(max(len(P.elements), n))))
+
+
 def export_dot(P: WeakOrderPoset) -> str:
     """Graphviz text for the Hasse diagram, deterministic byte for byte.
 
     Nodes are numbered in (rank, text) order and labeled with the canonical
-    text; each cover is one edge labeled by its comma-joined label set, with
-    attach edges (type II) drawn bold.
+    text, read from ``P.texts``; each cover is one edge labeled by its
+    comma-joined label set, with attach edges (type II) drawn bold.
     """
+    num = _numerals(P)
     lines = [
         "digraph {",
         "  rankdir=BT;",
         f'  label="{_describe(P.family, P.param)}";',
         "  node [shape=plaintext];",
     ]
-    lines += [f'  {j} [label="{e.text()}"];' for j, e in enumerate(P.elements)]
-    for e in P.edges:
-        bold = ", style=bold" if e.types.count(CoverType.II) == len(e.types) else ""
-        lines.append(f'  {e.lo} -> {e.hi} [label="{",".join(map(str, e.labels))}"{bold}];')
+    lines += [f'  {num[j]} [label="{t}"];' for j, t in enumerate(P.texts)]
+    lines += [
+        f'  {num[lo]} -> {num[hi]} [label="'
+        f'{num[labels[0]] if len(labels) == 1 else ",".join(map(str, labels))}"'
+        f'{", style=bold" if types.count(_II) == len(types) else ""}];'
+        for lo, hi, labels, types in P.edges
+    ]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -162,31 +178,42 @@ def _array(rows: "list[str]", pad: str) -> str:
     return "[\n" + ",\n".join(rows) + "\n" + pad + "]" if rows else "[]"
 
 
-# each cover type as a JSON string on its own line of an edge's "types"
-_TYPE_ROW = {t: f"        {json.dumps(str(t))}" for t in CoverType}
+# the separators inside an edge's "labels" and "types" arrays
+_LABEL_SEP = ",\n        "
+_TYPE_SEP = '",\n        "'
+# a cover type's value, its JSON string without the quotes
+_VALUE = attrgetter("_value_")
 
 
 def export_json(P: WeakOrderPoset) -> str:
-    """JSON dump of the poset: elements with ids and ranks, labeled edges.
+    """JSON dump of the poset: elements with ids, texts and ranks, labeled edges.
 
     Byte for byte ``json.dumps(payload, indent=2) + "\\n"`` of the nested
     payload, written row by row: with ``indent`` set, ``json`` takes its
-    pure-Python encoder, so only the strings go through the C-backed
-    ``json.dumps(str)``.
+    pure-Python encoder, so only the texts, read from ``P.texts``, go
+    through the C-backed string encoder.  An edge with labels is one
+    f-string of the numerals of ``_numerals`` and the types' values.
     """
+    num = _numerals(P)
     params = [
         f"    {json.dumps(k)}: {v}" for k, v in _params_json(P.family, P.param).items()
     ]
     elements = [
-        f'    {{\n      "id": {j},\n      "text": {json.dumps(e.text())},\n'
-        f'      "rank": {r}\n    }}'
-        for j, (e, r) in enumerate(zip(P.elements, P.ranks))
+        f'    {{\n      "id": {num[j]},\n      "text": {text},\n      "rank": {r}\n    }}'
+        for j, (text, r) in enumerate(zip(map(_quote, P.texts), P.ranks))
     ]
     edges = [
-        f'    {{\n      "lo": {e.lo},\n      "hi": {e.hi},\n'
-        f'      "labels": {_array([f"        {i}" for i in e.labels], "      ")},\n'
-        f'      "types": {_array([_TYPE_ROW[t] for t in e.types], "      ")}\n    }}'
-        for e in P.edges
+        f'    {{\n      "lo": {num[lo]},\n      "hi": {num[hi]},\n      "labels": [\n        '
+        f'{num[labels[0]] if len(labels) == 1 else _LABEL_SEP.join(map(str, labels))}'
+        f'\n      ],\n      "types": [\n        "'
+        f'{types[0]._value_ if len(types) == 1 else _TYPE_SEP.join(map(_VALUE, types))}'
+        f'"\n      ]\n    }}'
+        if labels and types
+        else f'    {{\n      "lo": {lo},\n      "hi": {hi},\n'
+        f'      "labels": {_array([f"        {i}" for i in labels], "      ")},\n'
+        f'      "types": {_array([f"        {_quote(t.value)}" for t in types], "      ")}'
+        "\n    }"
+        for lo, hi, labels, types in P.edges
     ]
     return (
         f'{{\n  "family": {json.dumps(P.family)},\n'
@@ -240,8 +267,9 @@ def _cmd_wset(args: argparse.Namespace) -> int:
             f'  "members": {_array(rows, "  ")}\n}}'
         )
     else:
-        for w in ws.members:
-            print(w.as_text(compact=args.compact))
+        # one string, as --json writes, not one print per member
+        rows = [f"{w.as_text(compact=args.compact)}\n" for w in ws.members]
+        sys.stdout.write("".join(rows))
     return 0
 
 
@@ -260,8 +288,10 @@ def _cmd_chains(args: argparse.Namespace) -> int:
         head = f'{{\n  "element": {json.dumps(x.text())},\n  "count": {len(rows)},\n'
         print(f'{head}  "chains": {_array(rows, "  ")}\n}}')
     else:
-        for labels, _ in _chain_walk(P, x):
-            print(",".join(str(i) for i in labels))
+        # one string, as --json writes, not one print per chain
+        name = [str(i) for i in range(x.n)]
+        rows = [",".join([name[i] for i in labels]) for labels, _ in _chain_walk(P, x)]
+        sys.stdout.write("\n".join(rows) + "\n" if rows else "")
     return 0
 
 

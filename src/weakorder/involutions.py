@@ -131,7 +131,7 @@ class Involution(_Element):
 
     def text(self) -> str:
         """Cycle notation with fixed points implicit; "id" when there are none."""
-        return "".join(f"({i},{v})" for i, v in enumerate(self.word, 1) if v > i) or "id"
+        return "".join([f"({i},{v})" for i, v in enumerate(self.word, 1) if v > i]) or "id"
 
 
 class FpfInvolution(Involution):
@@ -201,10 +201,10 @@ class Clan(_Element):
 
     def text(self) -> str:
         """Cycle notation with every vertex present, signs on one-cycles."""
-        return "".join(
+        return "".join([
             f"({i},{v})" if v > i else f"({i}{'+' if v > 0 else '-'})"
             for i, v in enumerate(self.word, 1) if v >= i or v == -i
-        )
+        ])
 
 
 def standard_form(u: Permutation) -> Involution:

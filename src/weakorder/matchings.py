@@ -131,18 +131,18 @@ def _cover_type(w: tuple[int, ...], i: int) -> CoverType:
     return _IB
 
 
-def _cover_types(family: str, w: tuple[int, ...], labels: list[int]) -> tuple[CoverType, ...]:
-    """The type of the move up from w along each label.  An fpf cover other
-    than IB/IC1/IC2 is a fault of the step and raises RuntimeError; the kinds
-    are compared by identity, which needs no hashing."""
-    kinds = tuple([_cover_type(w, i) for i in labels])
-    if family == "fpf":
-        for i, kind in zip(labels, kinds):
-            if kind is _II or kind is _IA1 or kind is _IA2:
-                text = FpfInvolution(w).text()
-                raise RuntimeError(
-                    f"fixed-point-free cover of {text} along {i} has type {kind}"
-                )
+def _cover_types(
+    family: str, w: tuple[int, ...], moves: list[tuple[int, object]]
+) -> list[CoverType]:
+    """The type of each (label, target) move up from w, in order.  An fpf
+    cover other than IB/IC1/IC2 is a fault of the step and raises
+    RuntimeError, naming the first such label; membership tests the kinds by
+    identity first, which needs no hashing."""
+    kinds = [_cover_type(w, i) for i, _ in moves]
+    if family == "fpf" and (_II in kinds or _IA1 in kinds or _IA2 in kinds):
+        i, kind = next((i, k) for (i, _), k in zip(moves, kinds) if k in (_II, _IA1, _IA2))
+        text = FpfInvolution(w).text()
+        raise RuntimeError(f"fixed-point-free cover of {text} along {i} has type {kind}")
     return kinds
 
 
@@ -151,7 +151,7 @@ def _covers_of(family: str, kind: type, up: Callable, x: Involution | Clan) -> l
     _require(f"family {family!r}", kind, x, exact=True)
     w = x.word
     moves = up(w)
-    kinds = _cover_types(family, w, [i for i, _ in moves])
+    kinds = _cover_types(family, w, moves)
     return [(i, kind(v), t) for (i, v), t in zip(moves, kinds)]
 
 

@@ -43,7 +43,8 @@ __all__ = [
 ReducedWord = tuple[int, ...]
 Word = tuple[int, ...]
 Moves = list[tuple[int, Word]]
-Closure = tuple[dict[Word, int], dict[Word, Moves]]
+# the reached words, their depths, and each one's (label, position) moves
+Closure = tuple[list[Word], list[int], list[list[tuple[int, int]]]]
 
 
 @dataclass(frozen=True, order=True)
@@ -218,22 +219,26 @@ def evaluate_word(letters: tuple[int, ...], n: int) -> Permutation:
 
 
 def _closure(start: Word, moves: Callable[[Word], Moves]) -> Closure:
-    """Breadth-first closure of ``start`` under ``moves``: every reached word's
-    depth and its (label, word) moves, both keyed in breadth-first order."""
-    depth = {start: 0}
-    reached: dict[Word, Moves] = {}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            reached[w] = got = moves(w)
-            d = depth[w] + 1
-            for _, v in got:
-                if v not in depth:
-                    depth[v] = d
-                    nxt.append(v)
-        frontier = nxt
-    return depth, reached
+    """Breadth-first closure of ``start`` under ``moves``: the reached words
+    in breadth-first order, each one's depth, and each one's moves as (label,
+    position of the moved-to word in that order).  Each move's word is looked
+    up once, to find its position; no word is hashed again later."""
+    at = {start: 0}
+    words = [start]
+    depths = [0]
+    steps: list[list[tuple[int, int]]] = []
+    for w in words:  # grows while it is read: a queue
+        d = depths[len(steps)] + 1
+        out = []
+        for i, v in moves(w):
+            j = at.get(v)
+            if j is None:
+                j = at[v] = len(words)
+                words.append(v)
+                depths.append(d)
+            out.append((i, j))
+        steps.append(out)
+    return words, depths, steps
 
 
 def _count_paths(start: Word, moves: Callable[[Word], Moves]) -> dict[Word, int]:
@@ -285,14 +290,12 @@ def reduced_words(u: Permutation) -> set[ReducedWord]:
     >>> sorted(reduced_words(Permutation((3, 2, 1))))
     [(1, 2, 1), (2, 1, 2)]
     """
-    _, peel = _closure(u.word, _peel)
-    words: dict[Word, frozenset[ReducedWord]] = {}
-    for w in reversed(peel):
-        got = peel[w]
-        words[w] = frozenset(
-            (j,) + rest for j, v in got for rest in words[v]
-        ) if got else frozenset({()})
-    return set(words[u.word])
+    _, _, peel = _closure(u.word, _peel)
+    words: list[frozenset[ReducedWord]] = [frozenset({()})] * len(peel)
+    for k in reversed(range(len(peel))):
+        if peel[k]:
+            words[k] = frozenset((j,) + rest for j, v in peel[k] for rest in words[v])
+    return set(words[0])
 
 
 def count_reduced_words(u: Permutation) -> int:

@@ -3,8 +3,9 @@
 One breadth-first closure on one-line words, ``permutations._closure``,
 builds every poset: from the bottom's word under the family's up-covers, or
 from x's word under the down-covers for [bottom, x] alone (see the matchings
-module).  Each word becomes an element, checked once, and each cover label
-is classified by ``matchings._cover_types``, once the closure is done.
+module).  Each word becomes an element, checked once, with its text, kept
+on the poset for the exports, and each cover label is classified by
+``matchings._cover_types``, once the closure is done.
 Elements are sorted by (rank, text), so indices are stable and
 rank-monotone: every edge points from a lower index to a strictly higher
 one, and dynamic programs can sweep the element list in order.  Counting
@@ -16,7 +17,8 @@ direct W-set construction, closed-form count, size parameters) sits in one
 private table, ``_FAMILY``, keyed by the names in ``FAMILIES``.
 
 Edges are merged per element pair: an edge carries the sorted tuple of all
-labels i realizing the cover, with the per-label cover types kept parallel.
+labels i realizing the cover, with the per-label cover types kept parallel,
+and ``edges`` is sorted by (lo, hi).
 A maximal chain resolves every step to a single label, so a multi-label edge
 widens the set of chains without widening the Hasse diagram.
 
@@ -38,7 +40,7 @@ import gc
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 from .involutions import (
     _OPPOSITE,
@@ -138,9 +140,11 @@ def _family_of(name: str, x: Element) -> _Family:
     return fam
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
-    """A Hasse cover lo -> hi with every label realizing it, types parallel."""
+class Edge(NamedTuple):
+    """A Hasse cover lo -> hi with every label realizing it, types parallel.
+
+    A tuple: it unpacks as (lo, hi, labels, types) and equals that 4-tuple.
+    """
 
     lo: int
     hi: int
@@ -174,8 +178,10 @@ class WeakOrderPoset:
     """Immutable labeled Hasse diagram of one weak order, or a piece of one.
 
     ``elements`` is sorted by (rank, text), so the bottom is element 0;
-    ``up[j]`` and ``down[j]`` hold the ``Edge``s leaving and entering
-    element j.
+    ``texts[j]`` is ``elements[j].text()``, computed once by whoever builds
+    the poset (here if not given) and read by the exports; ``up[j]`` and
+    ``down[j]`` hold the ``Edge``s leaving and entering element j, in the
+    order of ``edges``.
     ``complete`` records whether this is a full family poset, so that global
     checks such as the closed-form element count apply, or a derived piece
     (a lower interval or an edge-filtered copy).
@@ -189,6 +195,7 @@ class WeakOrderPoset:
         ranks: tuple[int, ...],
         edges: tuple[Edge, ...],
         complete: bool,
+        texts: "tuple[str, ...] | None" = None,
     ) -> None:
         _family(family)
         self.family = family
@@ -197,6 +204,7 @@ class WeakOrderPoset:
         self.ranks = ranks
         self.edges = edges
         self.complete = complete
+        self.texts = tuple([e.text() for e in elements]) if texts is None else texts
         self._index: dict[Element, int] = {e: j for j, e in enumerate(elements)}
         up: list[list[Edge]] = [[] for _ in elements]
         down: list[list[Edge]] = [[] for _ in elements]
@@ -260,40 +268,66 @@ def build_poset(family: str, param: "int | tuple[int, int]") -> WeakOrderPoset:
 def _assemble(
     family: str,
     param: int | tuple[int, int],
-    depth: dict[Word, int],
-    covers: dict[Word, Moves],
+    words: list[Word],
+    depths: list[int],
+    steps: list[list[tuple[int, int]]],
     upward: bool,
 ) -> WeakOrderPoset:
-    """The poset on the words of ``depth`` with one cover per (label, word)
-    move of ``covers``, up from the key if ``upward``, else down to the move's
-    word: one element per word, elements sorted by (rank, text), the labels
-    of one element pair merged into one edge.  Rank is depth, counted down
-    from the top if not ``upward``; an upward closure, from the bottom, is a
-    complete poset.  Callers pass the closure inline, so that it is freed
-    here, before ``_gc_paused`` restores the collector."""
-    top = 0 if upward else max(depth.values())
-    rank = depth if upward else {w: top - d for w, d in depth.items()}
+    """The poset on the ``_closure`` ``words`` with one cover per (label,
+    position) move of ``steps``, up from the word if ``upward``, else down
+    to the moved-to word.  Rank is depth, counted down from the last word
+    if not ``upward``; an upward closure, from the bottom, is a complete
+    poset.
+
+    Each fact is derived once: each word becomes an element, checked, and
+    its ``text()``, kept as the poset's ``texts``; the elements are sorted by
+    (rank, text) in two stable sorts on plain keys.  The moves are then
+    taken per lower element in that order, each label classified by one
+    ``_cover_types`` call per element, and the labels to one upper element
+    merged into one ``Edge``, so the edges come out sorted by (lo, hi) with
+    no global sort.  The labels of an edge all come from one word's moves,
+    which the move loops list by ascending label, so they need no sort
+    either.  Callers pass the closure inline, so that it is freed here,
+    before ``_gc_paused`` restores the collector."""
     kind = _FAMILY[family].element
-    element = {w: kind(w) for w in rank}
-    order = sorted(rank, key=lambda w: (rank[w], element[w].text()))
-    index = {w: j for j, w in enumerate(order)}
-    edge_labels: dict[tuple[int, int], list[int]] = {}
-    for w, got in covers.items():
-        j = index[w]
-        for i, v in got:
-            k = index[v]
-            edge_labels.setdefault((j, k) if upward else (k, j), []).append(i)
+    elements = list(map(kind, words))
+    texts = [x.text() for x in elements]
+    ranks = depths if upward else [depths[-1] - d for d in depths]
+    order = sorted(range(len(words)), key=texts.__getitem__)
+    order.sort(key=ranks.__getitem__)
+    place = [0] * len(order)
+    for j, k in enumerate(order):
+        place[k] = j
+    if not upward:  # each word's moves up, labels ascending per upper word
+        ups: list[list[tuple[int, int]]] = [[] for _ in words]
+        for k, got in enumerate(steps):
+            for i, j in got:
+                ups[j].append((i, k))
+        steps = ups
     edges = []
-    for (lo, hi), labels in sorted(edge_labels.items()):
-        labels.sort()
-        edges.append(Edge(lo, hi, tuple(labels), _cover_types(family, order[lo], labels)))
+    make = tuple.__new__  # as Edge._make does, without its Python frame
+    for lo, k in enumerate(order):
+        got = steps[k]
+        kinds = _cover_types(family, words[k], got)
+        merged: dict[int, tuple[tuple[int, ...], tuple[CoverType, ...]]] = {}
+        for (i, j), t in zip(got, kinds):
+            hi = place[j]
+            if hi in merged:
+                labels, types = merged[hi]
+                merged[hi] = (labels + (i,), types + (t,))
+            else:
+                merged[hi] = ((i,), (t,))
+        for hi in sorted(merged):
+            labels, types = merged[hi]
+            edges.append(make(Edge, (lo, hi, labels, types)))
     return WeakOrderPoset(
         family,
         param,
-        tuple(element[w] for w in order),
-        tuple(rank[w] for w in order),
+        tuple([elements[k] for k in order]),
+        tuple([ranks[k] for k in order]),
         tuple(edges),
         complete=upward,
+        texts=tuple([texts[k] for k in order]),
     )
 
 
@@ -316,12 +350,15 @@ def lower_interval(P: WeakOrderPoset, x: Element) -> WeakOrderPoset:
     remap = {old: new for new, old in enumerate(order)}
     elements = tuple(P.elements[j] for j in order)
     ranks = tuple(P.ranks[j] for j in order)
+    texts = tuple(P.texts[j] for j in order)
     edges = tuple(
-        Edge(remap[e.lo], remap[e.hi], e.labels, e.types)
-        for e in P.edges
-        if e.lo in keep and e.hi in keep
+        Edge(remap[lo], remap[hi], labels, types)
+        for lo, hi, labels, types in P.edges
+        if lo in keep and hi in keep
     )
-    return WeakOrderPoset(P.family, P.param, elements, ranks, edges, complete=False)
+    return WeakOrderPoset(
+        P.family, P.param, elements, ranks, edges, complete=False, texts=texts
+    )
 
 
 def _only_bottom(family: str, param: int | tuple[int, int], ends: Iterable[Word]) -> Word:
@@ -341,16 +378,16 @@ def _only_bottom(family: str, param: int | tuple[int, int], ends: Iterable[Word]
 def _down_closure(family: str, x: Element) -> Closure:
     """``_closure`` of x's one-line word under down-covers.
 
-    Gives every word of [bottom, x] its depth below x and its (label, lower
-    word) down-covers, in breadth-first order from x; the orders are graded,
-    so every word comes before its down-covers and the reversed order runs
-    bottom first.  Raises RuntimeError if a word other than the family
-    bottom has no down-cover.
+    Gives every word of [bottom, x], in breadth-first order from x, its
+    depth below x and its down-covers as (label, position of the lower
+    word); the orders are graded, so every word comes before its
+    down-covers and the reversed order runs bottom first.  Raises
+    RuntimeError if a word other than the family bottom has no down-cover.
     """
     fam = _family_of(family, x)
-    depth, covers = _closure(x.word, fam.down)
-    _only_bottom(family, fam.param_of(x), (w for w, got in covers.items() if not got))
-    return depth, covers
+    words, depths, steps = _closure(x.word, fam.down)
+    _only_bottom(family, fam.param_of(x), (w for w, got in zip(words, steps) if not got))
+    return words, depths, steps
 
 
 def count_chains_below(family: str, x: Element) -> int:
@@ -520,14 +557,12 @@ def drop_cover_types(P: WeakOrderPoset, kinds: Iterable[CoverType]) -> WeakOrder
     """
     drop = frozenset(kinds)
     edges = []
-    for e in P.edges:
-        kept = [(lab, t) for lab, t in zip(e.labels, e.types) if t not in drop]
+    for lo, hi, labels, types in P.edges:
+        kept = [(lab, t) for lab, t in zip(labels, types) if t not in drop]
         if kept:
-            edges.append(
-                Edge(e.lo, e.hi, tuple(l for l, _ in kept), tuple(t for _, t in kept))
-            )
+            edges.append(Edge(lo, hi, tuple(l for l, _ in kept), tuple(t for _, t in kept)))
     return WeakOrderPoset(
-        P.family, P.param, P.elements, P.ranks, tuple(edges), complete=False
+        P.family, P.param, P.elements, P.ranks, tuple(edges), complete=False, texts=P.texts
     )
 
 

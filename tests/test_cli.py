@@ -9,7 +9,16 @@ import time
 import pytest
 
 from conftest import brute_clans, brute_involutions
-from weakorder import Clan, FpfInvolution, Involution, build_poset, wset_direct
+from weakorder import (
+    Clan,
+    CoverType,
+    Edge,
+    FpfInvolution,
+    Involution,
+    WeakOrderPoset,
+    build_poset,
+    wset_direct,
+)
 from weakorder.cli import export_dot, export_json, parse_element, run
 
 _CLANS_UP_TO_6 = [(p, total - p) for total in range(2, 7) for p in range(1, total)]
@@ -154,6 +163,79 @@ class TestExports:
         for param in params:
             P = build_poset(family, param)
             assert export_json(P) == self.nested_payload_json(P), (family, param)
+
+    def test_hand_made_edges_export_as_before(self) -> None:
+        # an edge with no label, which no builder makes, and one with two
+        # labels are laid out as json.dumps and the DOT writer always did
+        P = build_poset("involution", 3)
+        lo, hi = P.edges[0].lo, P.edges[0].hi
+        Q = WeakOrderPoset(
+            "involution", 3, P.elements, P.ranks,
+            (Edge(lo, hi, (), ()), Edge(lo, hi + 1, (1, 2), (CoverType.II, CoverType.II))),
+            False,
+        )
+        assert export_json(Q) == self.nested_payload_json(Q)
+        assert export_dot(Q).splitlines()[-3:] == [
+            f'  {lo} -> {hi} [label="", style=bold];',  # no type but II: bold, as ever
+            f'  {lo} -> {hi + 1} [label="1,2", style=bold];',
+            "}",
+        ]
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    @pytest.mark.parametrize(
+        "size", [["inv", "--n", "5"], ["fpf", "--n", "8"], ["clan", "--p", "2", "--q", "3"]]
+    )
+    def test_hasse_reads_each_text_once(self, capsys, monkeypatch, size, mode) -> None:
+        calls: list[tuple[int, ...]] = []
+        for cls in (Involution, Clan):  # FpfInvolution inherits Involution's
+
+            def counted(x, text=cls.text):
+                calls.append(x.word)
+                return text(x)
+
+            monkeypatch.setattr(cls, "text", counted)
+        assert run(["hasse", "--family", *size, *mode]) == 0
+        capsys.readouterr()
+        assert sorted(calls) == sorted(set(calls)), "an element's text() ran twice"
+        family = {"inv": "involution"}.get(size[0], size[0])
+        param = int(size[2]) if family != "clan" else (int(size[2]), int(size[4]))
+        assert len(calls) == len(build_poset(family, param))
+
+
+class _Pipe:
+    """A stdout that records each write, or refuses every write as a closed pipe."""
+
+    def __init__(self, closed: bool) -> None:
+        self.closed, self.writes = closed, []
+
+    def write(self, text: str) -> int:
+        if self.closed:
+            raise BrokenPipeError
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+_PLAIN_LISTINGS = [
+    ["chains", "--family", "fpf", "--element", "(1,6)(2,5)(3,4)"],
+    ["chains", "--family", "inv", "--n", "1", "--element", "id"],
+    ["wset", "--family", "inv", "--n", "6", "--element", "(1,6)(2,5)(3,4)"],
+    ["wset", "--family", "clan", "--element", "(1,4)(2+)(3-)", "--compact"],
+]
+
+
+@pytest.mark.parametrize("argv", _PLAIN_LISTINGS, ids=lambda a: f"{a[0]} {a[2]}")
+def test_plain_listing_is_one_write(capsys, monkeypatch, argv) -> None:
+    assert run(argv) == 0
+    want = capsys.readouterr().out
+    pipe = _Pipe(closed=False)
+    monkeypatch.setattr("sys.stdout", pipe)
+    assert run(argv) == 0
+    assert pipe.writes == [want]
+    monkeypatch.setattr("sys.stdout", _Pipe(closed=True))
+    assert run(argv) == 0
 
 
 class TestRunWset:

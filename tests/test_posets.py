@@ -293,3 +293,92 @@ class TestDropCoverTypes:
             assert all(t not in kinds for t in e.types)
         dropped = {(e.lo, e.hi) for e in P.edges} - {(e.lo, e.hi) for e in Q.edges}
         assert dropped, "expected at least one pure swap edge in this poset"
+
+
+# every size the layout and text tests sweep: involutions n <= 6, fpf n <= 8,
+# clans p+q <= 6
+_SIZES = (
+    [("involution", n) for n in range(1, 7)]
+    + [("fpf", n) for n in range(2, 9, 2)]
+    + [("clan", (p, t - p)) for t in range(2, 7) for p in range(1, t)]
+)
+
+
+def _derived(P: WeakOrderPoset):
+    """Every poset derived from P: each lower interval, taken from P and built
+    down from its top, and the copies without each cover type."""
+    for x in P.elements:
+        yield lower_interval(P, x)
+        yield build_lower_interval(P.family, x)
+    for kind in CoverType:
+        yield drop_cover_types(P, {kind})
+
+
+class TestLayout:
+    """The edge layout every consumer reads, with no global sort behind it."""
+
+    @staticmethod
+    def check_layout(P: WeakOrderPoset) -> None:
+        keys = [(e.lo, e.hi) for e in P.edges]
+        assert all(a < b for a, b in zip(keys, keys[1:])), "edges not strictly increasing"
+        for e in P.edges:
+            assert all(a < b for a, b in zip(e.labels, e.labels[1:])), e
+            assert len(e.types) == len(e.labels), e
+        for j in range(len(P)):
+            assert [id(e) for e in P.up[j]] == [id(e) for e in P.edges if e.lo == j]
+            assert [id(e) for e in P.down[j]] == [id(e) for e in P.edges if e.hi == j]
+
+    @pytest.mark.parametrize("family, param", _SIZES)
+    def test_edges_sorted_labels_ascending_adjacency_shared(self, family, param) -> None:
+        P = build_poset(family, param)
+        self.check_layout(P)
+        for Q in _derived(P):
+            self.check_layout(Q)
+
+    @pytest.mark.parametrize("family, param", _SIZES)
+    def test_types_classify_each_label_from_the_lower_word(self, family, param) -> None:
+        P = build_poset(family, param)
+        for e in P.edges:
+            w = P.elements[e.lo].word
+            assert e.types == tuple(weakorder.matchings._cover_type(w, i) for i in e.labels)
+
+    def test_edge_fields_and_tuple_api(self) -> None:
+        assert weakorder.posets.Edge._fields == ("lo", "hi", "labels", "types")
+        P = build_poset("involution", 4)
+        for e in P.edges:
+            lo, hi, labels, types = e
+            assert (e.lo, e.hi, e.labels, e.types) == (lo, hi, labels, types)
+            assert e == (lo, hi, labels, types)
+
+
+class TestTexts:
+    @pytest.mark.parametrize("family, param", _SIZES)
+    def test_built_and_derived_posets_carry_their_texts(self, family, param) -> None:
+        P = build_poset(family, param)
+        assert list(P.texts) == [e.text() for e in P.elements]
+        for Q in _derived(P):
+            assert list(Q.texts) == [e.text() for e in Q.elements]
+
+    def test_derived_posets_reuse_the_texts(self, monkeypatch) -> None:
+        P = build_poset("fpf", 8)
+        top = P.elements[-1]
+        calls = []
+
+        def counted(x, text=Involution.text):
+            calls.append(x.word)
+            return text(x)
+
+        monkeypatch.setattr(Involution, "text", counted)
+        lower_interval(P, top)
+        drop_cover_types(P, {CoverType.IB})
+        assert calls == []
+        Q = build_lower_interval("fpf", top)
+        assert sorted(calls) == sorted(x.word for x in Q.elements)
+
+    def test_six_positional_arguments_still_build_a_poset(self) -> None:
+        P = build_poset("involution", 3)
+        Q = WeakOrderPoset("involution", 3, P.elements, P.ranks, P.edges, True)
+        assert Q.texts == P.texts
+        assert (Q.up, Q.down) == (P.up, P.down)
+        assert [Q.index_of(x) for x in P.elements] == list(range(len(P)))
+        assert verify_graded(Q).ok
