@@ -20,7 +20,6 @@ from .involutions import (
     Clan,
     FpfInvolution,
     Involution,
-    bottom_element,
     clan_count,
     fpf_count,
     involution_count,
@@ -51,6 +50,7 @@ from .posets import (
     GradedReport,
     LabeledChain,
     WeakOrderPoset,
+    bottom_element,
     build_lower_interval,
     build_poset,
     chain_count_identity,

@@ -13,7 +13,8 @@ Subcommands:
 Element grammar: a sequence of cycles "(a,b)" and, for clans, signed
 vertices "(v+)" or "(v-)"; whitespace is ignored.  Involutions leave fixed
 points implicit, so they need an explicit --n; "id" names the involution
-with no two-cycles.  Clan text must mention every vertex, so n is inferred.
+with no two-cycles.  Fpf and clan text must mention every vertex, so n is
+inferred, and a given --n must agree.
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input or bad
 arguments.
@@ -30,7 +31,6 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 
-from .involutions import Clan, FpfInvolution, Involution
 from .matchings import CoverType
 from .posets import (
     FAMILIES,
@@ -38,6 +38,7 @@ from .posets import (
     WeakOrderPoset,
     _chain_walk,
     _family,
+    _named,
     build_lower_interval,
     build_poset,
     count_chains_below,
@@ -61,15 +62,15 @@ def parse_element(text: str, family: str, n: "int | None" = None) -> Element:
     >>> parse_element("(1,6)(2,3)(4+)(5-)(7+)", "clan").text()
     '(1,6)(2,3)(4+)(5-)(7+)'
     """
-    _family(family)
+    fam = _family(family)
     compact = "".join(text.split())
     if not compact:
         raise ValueError("empty element text")
-    pairs: list[tuple[int, int]] = []
-    signs: dict[int, int] = {}
-    seen: set[int] = set()
+    # each vertex named, to its image: the other end of its cycle, or itself signed
+    image: dict[int, int] = {}
+    signed: list[int] = []
     if compact == "id":
-        if family != "involution":
+        if fam.fixed != "implicit":
             raise ValueError(
                 "'id' names the involution with no two-cycles; "
                 "spell the element out for this family"
@@ -86,51 +87,42 @@ def parse_element(text: str, family: str, n: "int | None" = None) -> Element:
                 a, b = int(got.group(1)), int(got.group(2))
                 if a == b:
                     raise ValueError(f"cycle ({a},{b}) repeats vertex {a}")
-                fresh = (a, b)
-                pairs.append((a, b))
+                fresh = {a: b, b: a}
             else:
                 v = int(got.group(3))
-                fresh = (v,)
-                signs[v] = 1 if got.group(4) == "+" else -1
+                fresh = {v: v if got.group(4) == "+" else -v}
+                signed.append(v)
             for v in fresh:
-                if v in seen:
+                if v in image:
                     raise ValueError(f"vertex {v} appears more than once in {text!r}")
-                seen.add(v)
+            image.update(fresh)
             at = got.end()
-    if signs and family != "clan":
-        raise ValueError(f"signed vertices {sorted(signs)} are only valid for clans")
-    if family == "involution":
-        if n is None:
+    if signed and fam.fixed != "signed":
+        raise ValueError(f"signed vertices {sorted(signed)} are only valid for clans")
+    if n is None:
+        if fam.fixed == "implicit":
             raise ValueError("n is required for involutions: fixed points are implicit")
-    elif n is None:
-        n = max(seen, default=0)
+        n = max(image, default=0)
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    bad = sorted(v for v in seen if not 1 <= v <= n)
+    bad = sorted(v for v in image if not 1 <= v <= n)
     if bad:
         raise ValueError(f"vertex {bad[0]} out of range 1..{n}")
-    if family == "involution":
-        return Involution.from_cycles(n, pairs)
-    # seen lies in 1..n, so fewer than n vertices leaves gaps; name at most
-    # ten of them, as the text may be short while n is huge
-    if len(seen) < n:
-        gaps = itertools.islice((v for v in range(1, n + 1) if v not in seen), 10)
-        listed = ", ".join(map(str, gaps)) + (", ..." if n - len(seen) > 10 else "")
-        what = "left as fixed points" if family == "fpf" else "missing"
+    # the vertices named lie in 1..n, so fewer than n leaves gaps; name at
+    # most ten of them, as the text may be short while n is huge
+    if len(image) < n and fam.fixed != "implicit":
+        gaps = itertools.islice((v for v in range(1, n + 1) if v not in image), 10)
+        listed = ", ".join(map(str, gaps)) + (", ..." if n - len(image) > 10 else "")
+        what = "left as fixed points" if fam.fixed == "absent" else "missing"
         raise ValueError(
             f"{family} text must mention every vertex of 1..{n}; "
-            f"{n - len(seen)} {what}: {listed}"
+            f"{n - len(image)} {what}: {listed}"
         )
-    if family == "fpf":
-        return FpfInvolution.from_cycles(n, pairs)
-    return Clan.from_parts(n, pairs, signs)
+    return fam.element(tuple([image.get(v, v) for v in range(1, n + 1)]))
 
 
 def _describe(family: str, param: "int | tuple[int, int]") -> str:
-    if family == "clan":
-        p, q = param
-        return f"clan (p,q)=({p},{q})"
-    return f"{family} n={param}"
+    return _family(family).text.format(**_named(family, param))
 
 
 def _numerals(P: WeakOrderPoset) -> list[str]:
@@ -166,12 +158,6 @@ def export_dot(P: WeakOrderPoset) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _params_json(family: str, param: "int | tuple[int, int]") -> dict[str, int]:
-    if family == "clan":
-        return {"p": param[0], "q": param[1]}
-    return {"n": param}
-
-
 def _array(rows: "list[str]", pad: str) -> str:
     """Encoded rows as the JSON array ``json.dumps(..., indent=2)`` lays out
     with its closing bracket indented by ``pad``."""
@@ -195,9 +181,7 @@ def export_json(P: WeakOrderPoset) -> str:
     f-string of the numerals of ``_numerals`` and the types' values.
     """
     num = _numerals(P)
-    params = [
-        f"    {json.dumps(k)}: {v}" for k, v in _params_json(P.family, P.param).items()
-    ]
+    params = [f"    {json.dumps(k)}: {v}" for k, v in _named(P.family, P.param).items()]
     elements = [
         f'    {{\n      "id": {num[j]},\n      "text": {text},\n      "rank": {r}\n    }}'
         for j, (text, r) in enumerate(zip(map(_quote, P.texts), P.ranks))
@@ -223,33 +207,36 @@ def export_json(P: WeakOrderPoset) -> str:
     )
 
 
-def _element_from_args(args: argparse.Namespace) -> Element:
-    if args.family != "clan" and (args.p is not None or args.q is not None):
+def _flag_values(args: argparse.Namespace) -> list:
+    """The values of the flags naming the family's parameter, None if not given."""
+    flags = _family(args.family).flags
+    if "p" not in flags and (args.p is not None or args.q is not None):
         raise ValueError("--p/--q only apply to clans")
+    return [getattr(args, f) for f in flags]
+
+
+def _element_from_args(args: argparse.Namespace) -> Element:
+    values = _flag_values(args)
     x = parse_element(args.element, args.family, n=args.n)
-    if args.family == "clan":
-        if (args.p is None) != (args.q is None):
-            raise ValueError("give both --p and --q or neither")
-        if args.p is not None and (x.p, x.q) != (args.p, args.q):
+    if values.count(None) not in (0, len(values)):
+        raise ValueError("give both --p and --q or neither")
+    if None not in values:  # with --n the only flag, x.n equals it already
+        got = list(_named(args.family, _family(args.family).param_of(x)).values())
+        if got != values:
             raise ValueError(
-                f"element {x.text()} has signature ({x.p},{x.q}), "
-                f"flags say ({args.p},{args.q})"
+                f"element {x.text()} has signature ({','.join(map(str, got))}), "
+                f"flags say ({','.join(map(str, values))})"
             )
     return x
 
 
 def _param_from_flags(args: argparse.Namespace) -> "int | tuple[int, int]":
-    if args.family == "clan":
-        if args.p is None or args.q is None:
-            raise ValueError("clan posets need --p and --q")
-        if args.n is not None and args.n != args.p + args.q:
-            raise ValueError(f"--n {args.n} disagrees with p+q={args.p + args.q}")
-        return (args.p, args.q)
-    if args.p is not None or args.q is not None:
-        raise ValueError("--p/--q only apply to clans")
-    if args.n is None:
-        raise ValueError(f"{args.family} posets need --n")
-    return args.n
+    flags, values = _family(args.family).flags, _flag_values(args)
+    if None in values:
+        raise ValueError(f"{args.family} posets need {' and '.join('--' + f for f in flags)}")
+    if args.n is not None and args.n != sum(values):
+        raise ValueError(f"--n {args.n} disagrees with {'+'.join(flags)}={sum(values)}")
+    return values[0] if len(values) == 1 else tuple(values)
 
 
 def _cmd_wset(args: argparse.Namespace) -> int:
@@ -333,9 +320,6 @@ def _only(mine: tuple, theirs: tuple, side: str) -> str:
     return f"{len(only)} only {side}" + (f" ({shown})" if only else "")
 
 
-# the size cap of a bare ``verify`` per family: n, or p+q for clans
-_VERIFY_CAPS = {"involution": 6, "fpf": 8, "clan": 6}
-
 # the default element limit of ``hasse`` and ``verify``: it admits
 # involutions n <= 12, fpf n <= 14 and clans p+q <= 11
 _MAX_ELEMENTS = 250_000
@@ -347,7 +331,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # every job passes the size guard before any is built; counts grow with
     # n, so a huge cap stops at its first job above the limit
     for fam in families:
-        for n in range(1, (_VERIFY_CAPS[fam] if args.n is None else args.n) + 1):
+        for n in range(1, (_family(fam).cap if args.n is None else args.n) + 1):
             for param in _family(fam).params(n):
                 _check_size(fam, param, args.max_elements)
                 jobs.append((fam, param))
@@ -376,7 +360,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ok = report.ok and agree == len(P.elements)
         results.append({
             "family": fam,
-            "params": _params_json(fam, param),
+            "params": _named(fam, param),
             "elements": len(P.elements),
             "edges": len(P.edges),
             "agree": agree,
@@ -423,7 +407,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Weak order posets on involutions, their chains and W-sets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    fam = {"choices": ["inv", *FAMILIES], "required": True}
+    alias = {"type": lambda name: "involution" if name == "inv" else name}
+    fam = {"choices": ["inv", *FAMILIES], "required": True, **alias}
 
     sp = sub.add_parser("wset", help="print the W-set of an element")
     sp.add_argument("--family", **fam)
@@ -447,7 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_hasse)
 
     sp = sub.add_parser("verify", help="gradedness and W-set oracle checks")
-    sp.add_argument("--family", choices=["inv", *FAMILIES, "all"], default="all")
+    sp.add_argument("--family", choices=["inv", *FAMILIES, "all"], default="all", **alias)
     sp.add_argument("--n", type=int, help="size cap (p+q for clans)")
     _add_max_elements(sp)
     sp.add_argument("--json", action="store_true")
@@ -476,8 +461,6 @@ def run(argv: "list[str] | None" = None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as ex:
         return int(ex.code or 0)
-    if args.family == "inv":
-        args.family = "involution"
     try:
         return args.handler(args)
     except ValueError as ex:

@@ -43,7 +43,6 @@ __all__ = [
     "bottom_involution",
     "bottom_fpf",
     "bottom_clan",
-    "bottom_element",
     "involution_count",
     "fpf_count",
     "clan_count",
@@ -69,7 +68,9 @@ def _check(x: "Involution | Clan") -> None:
 
 
 def _pair_up(n: int, cycles: Iterable[tuple[int, int]]) -> list[int]:
-    """The word of 1..n swapping each (a, b) of ``cycles``; ValueError on a bad vertex."""
+    """The word of 1..n swapping each (a, b) of ``cycles``; ValueError on n < 1 or a bad vertex."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     word = list(range(1, n + 1))
     for a, b in cycles:
         if not (0 < a <= n and 0 < b <= n):
@@ -361,23 +362,6 @@ def bottom_clan(p: int, q: int) -> Clan:
     cycles = [(i, n + 1 - i) for i in range(1, m + 1)]
     sign = 1 if p >= q else -1
     return Clan.from_parts(n, cycles, {v: sign for v in range(m + 1, n - m + 1)})
-
-
-def bottom_element(family: str, param: "int | tuple[int, int]"):
-    """Dispatch to the bottom of the named family: involution | fpf | clan."""
-    if family in ("involution", "fpf"):
-        if not isinstance(param, int):
-            raise ValueError(f"family {family!r} takes an integer n, got {param!r}")
-        return bottom_involution(param) if family == "involution" else bottom_fpf(param)
-    if family == "clan":
-        if not (
-            isinstance(param, (tuple, list))
-            and len(param) == 2
-            and all(isinstance(v, int) for v in param)
-        ):
-            raise ValueError(f"family 'clan' takes an integer pair (p, q), got {param!r}")
-        return bottom_clan(*param)
-    raise ValueError(f"unknown family {family!r}")
 
 
 def involution_count(n: int) -> int:

@@ -80,6 +80,7 @@ class CoverType(Enum):
 
 # the members as module globals, cheaper to look up than CoverType.<name>
 _IA1, _IA2, _IB, _IC1, _IC2, _II = CoverType
+_NOT_FPF = (_II, _IA1, _IA2)  # each moves or attaches on a fixed point
 
 
 def crossings(x: Involution | Clan) -> int:
@@ -132,26 +133,27 @@ def _cover_type(w: tuple[int, ...], i: int) -> CoverType:
 
 
 def _cover_types(
-    family: str, w: tuple[int, ...], moves: list[tuple[int, object]]
+    forbidden: tuple[CoverType, ...], w: tuple[int, ...], moves: list[tuple[int, object]]
 ) -> list[CoverType]:
-    """The type of each (label, target) move up from w, in order.  An fpf
-    cover other than IB/IC1/IC2 is a fault of the step and raises
-    RuntimeError, naming the first such label; membership tests the kinds by
-    identity first, which needs no hashing."""
+    """The type of each (label, target) move up from w, in order.  A cover
+    of a ``forbidden`` kind is a fault of the step and raises RuntimeError,
+    naming the first such label and the involution underlying w; membership
+    tests the kinds by identity first, which needs no hashing."""
     kinds = [_cover_type(w, i) for i, _ in moves]
-    if family == "fpf" and (_II in kinds or _IA1 in kinds or _IA2 in kinds):
-        i, kind = next((i, k) for (i, _), k in zip(moves, kinds) if k in (_II, _IA1, _IA2))
-        text = FpfInvolution(w).text()
-        raise RuntimeError(f"fixed-point-free cover of {text} along {i} has type {kind}")
+    for bad in forbidden:
+        if bad in kinds:
+            i, kind = next((i, k) for (i, _), k in zip(moves, kinds) if k in forbidden)
+            text = Involution(tuple(map(abs, w))).text()
+            raise RuntimeError(f"forbidden cover of {text} along {i} has type {kind}")
     return kinds
 
 
-def _covers_of(family: str, kind: type, up: Callable, x: Involution | Clan) -> list:
+def _covers_of(family: str, kind: type, up: Callable, forbid: tuple, x: Involution | Clan) -> list:
     """The up-covers of x, exactly a ``kind``, as (label, upper, type)."""
     _require(f"family {family!r}", kind, x, exact=True)
     w = x.word
     moves = up(w)
-    kinds = _cover_types(family, w, moves)
+    kinds = _cover_types(forbid, w, moves)
     return [(i, kind(v), t) for (i, v), t in zip(moves, kinds)]
 
 
@@ -161,12 +163,12 @@ def upward_covers_involution(x: Involution) -> list[tuple[int, Involution, Cover
     Generated through the monoid step; several labels may reach the same
     upper involution (the caller merges those into one Hasse edge).
     """
-    return _covers_of("involution", Involution, partial(_lengthen, _UNSIGNED), x)
+    return _covers_of("involution", Involution, partial(_lengthen, _UNSIGNED), (), x)
 
 
 def upward_covers_fpf(x: FpfInvolution) -> list[tuple[int, FpfInvolution, CoverType]]:
     """Covers in the fixed-point-free order; only types IB, IC1, IC2 occur."""
-    return _covers_of("fpf", FpfInvolution, partial(_lengthen, ()), x)
+    return _covers_of("fpf", FpfInvolution, partial(_lengthen, ()), _NOT_FPF, x)
 
 
 def upward_covers_clan(x: Clan) -> list[tuple[int, Clan, CoverType]]:
@@ -176,7 +178,7 @@ def upward_covers_clan(x: Clan) -> list[tuple[int, Clan, CoverType]]:
     clan rank p*q - rank rises by exactly 1.  A type II move on the strand
     {i, i+1} yields two covers under the same label, one per sign order.
     """
-    return _covers_of("clan", Clan, partial(_shorten, _OPPOSITE), x)
+    return _covers_of("clan", Clan, partial(_shorten, _OPPOSITE), (), x)
 
 
 def downward_covers_involution(w: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:

@@ -12,9 +12,12 @@ one, and dynamic programs can sweep the element list in order.  Counting
 the chains below x needs no poset: ``count_chains_below`` walks x's word
 down one rank at a time with ``permutations._count_paths``.
 
-What differs between the three families (element type, cover moves, rank,
-direct W-set construction, closed-form count, size parameters) sits in one
-private table, ``_FAMILY``, keyed by the names in ``FAMILIES``.
+What differs between the three families sits in one private table,
+``_FAMILY``, keyed by the names in ``FAMILIES``; no other code branches on a
+family name.  Its columns: element type, cover moves, rank, direct W-set
+construction, count, size parameters, bottom element, the parameter's value
+names and text, fixed points in element text, forbidden cover kinds, and
+the size cap of a bare ``verify``.
 
 Edges are merged per element pair: an edge carries the sorted tuple of all
 labels i realizing the cover, with the per-label cover types kept parallel,
@@ -51,7 +54,9 @@ from .involutions import (
     _lengthen,
     _require,
     _shorten,
-    bottom_element,
+    bottom_clan,
+    bottom_fpf,
+    bottom_involution,
     clan_count,
     fpf_count,
     involution_count,
@@ -60,6 +65,7 @@ from .involutions import (
     rank_involution,
 )
 from .matchings import (
+    _NOT_FPF,
     CoverType,
     _cover_types,
     downward_covers_clan,
@@ -76,6 +82,7 @@ __all__ = [
     "WeakOrderPoset",
     "GradedReport",
     "FAMILIES",
+    "bottom_element",
     "build_poset",
     "build_lower_interval",
     "count_chains_below",
@@ -102,8 +109,13 @@ class _Family:
     wset: Callable[[Element], WSet]
     count: Callable[[int | tuple[int, int]], int]
     param_of: Callable[[Element], int | tuple[int, int]]
-    # the size parameters of the family's posets on n vertices
-    params: Callable[[int], list[int | tuple[int, int]]]
+    params: Callable[[int], list[int | tuple[int, int]]]  # the parameters on n vertices
+    bottom: Callable[..., Element]  # called with the parameter's values by keyword
+    flags: tuple[str, ...]  # the value names: CLI flags, JSON keys, keywords, fields
+    text: str  # the parameter's text, a format with one field per value
+    fixed: str  # fixed points in element text: "implicit" (n given, "id" ok), "absent", "signed"
+    forbidden: tuple[CoverType, ...]  # cover kinds the family has none of
+    cap: int  # the size cap of a bare ``verify``: n, or p+q
 
 
 # lambdas look each wset_* up in this module per call, so wrappers set there apply
@@ -111,15 +123,18 @@ _FAMILY = {
     "involution": _Family(
         Involution, partial(_lengthen, _UNSIGNED), downward_covers_involution, rank_involution,
         lambda x: wset_involution(x), involution_count, lambda x: x.n, lambda n: [n],
+        bottom_involution, ("n",), "involution n={n}", "implicit", (), 6,
     ),
     "fpf": _Family(
         FpfInvolution, partial(_lengthen, ()), downward_covers_fpf, rank_fpf,
         lambda x: wset_fpf(x), fpf_count, lambda x: x.n, lambda n: [n] if n % 2 == 0 else [],
+        bottom_fpf, ("n",), "fpf n={n}", "absent", _NOT_FPF, 8,
     ),
     "clan": _Family(
         Clan, partial(_shorten, _OPPOSITE), downward_covers_clan, rank_clan,
         lambda x: wset_clan(x), lambda pq: clan_count(*pq), lambda x: (x.p, x.q),
         lambda n: [(p, n - p) for p in range(1, n)],
+        bottom_clan, ("p", "q"), "clan (p,q)=({p},{q})", "signed", (), 6,
     ),
 }
 
@@ -138,6 +153,21 @@ def _family_of(name: str, x: Element) -> _Family:
     fam = _family(name)
     _require(f"family {name!r}", fam.element, x, exact=True)
     return fam
+
+
+def _named(name: str, param: object) -> dict[str, int]:
+    """``param`` as its family's ``flags``, each to its value; ValueError unless it fits."""
+    flags = _family(name).flags
+    values = tuple(param) if len(flags) > 1 and isinstance(param, (tuple, list)) else (param,)
+    if len(values) == len(flags) and all(isinstance(v, int) for v in values):
+        return dict(zip(flags, values))
+    shape = flags[0] if len(flags) == 1 else f"pair ({', '.join(flags)})"
+    raise ValueError(f"family {name!r} takes an integer {shape}, got {param!r}")
+
+
+def bottom_element(family: str, param: "int | tuple[int, int]") -> Element:
+    """The unique rank-0 element of the named family at ``param``: n, or (p, q)."""
+    return _family(family).bottom(**_named(family, param))
 
 
 class Edge(NamedTuple):
@@ -289,8 +319,8 @@ def _assemble(
     which the move loops list by ascending label, so they need no sort
     either.  Callers pass the closure inline, so that it is freed here,
     before ``_gc_paused`` restores the collector."""
-    kind = _FAMILY[family].element
-    elements = list(map(kind, words))
+    fam = _FAMILY[family]
+    elements = list(map(fam.element, words))
     texts = [x.text() for x in elements]
     ranks = depths if upward else [depths[-1] - d for d in depths]
     order = sorted(range(len(words)), key=texts.__getitem__)
@@ -308,7 +338,7 @@ def _assemble(
     make = tuple.__new__  # as Edge._make does, without its Python frame
     for lo, k in enumerate(order):
         got = steps[k]
-        kinds = _cover_types(family, words[k], got)
+        kinds = _cover_types(fam.forbidden, words[k], got)
         merged: dict[int, tuple[tuple[int, ...], tuple[CoverType, ...]]] = {}
         for (i, j), t in zip(got, kinds):
             hi = place[j]

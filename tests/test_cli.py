@@ -952,8 +952,31 @@ class TestArgumentErrors:
             (["hasse", "--family", "fpf"], "fpf posets need --n"),
             (["wset", "--family", "inv", "--n", "0", "--element", "id"],
              "n must be at least 1, got 0"),
+            (["hasse", "--family", "clan", "--p", "2"], "clan posets need --p and --q"),
+            (["hasse", "--family", "clan", "--p", "2", "--q", "2", "--n", "5"],
+             "--n 5 disagrees with p+q=4"),
+            (["rank", "--family", "clan", "--element", "(1,2)", "--p", "2", "--q", "2"],
+             "element (1,2) has signature (1,1), flags say (2,2)"),
+            (["rank", "--family", "inv", "--n", "3", "--element", "(1+)(2,3)"],
+             "signed vertices [1] are only valid for clans"),
+            (["rank", "--family", "fpf", "--n", "4", "--element", "(1,2)"],
+             "fpf text must mention every vertex of 1..4; 2 left as fixed points: 3, 4"),
+            (["rank", "--family", "clan", "--n", "4", "--element", "(1,2)"],
+             "clan text must mention every vertex of 1..4; 2 missing: 3, 4"),
+            (["rank", "--family", "fpf", "--element", "id"],
+             "'id' names the involution with no two-cycles; "
+             "spell the element out for this family"),
+            (["rank", "--family", "inv", "--element", "(1,2)"],
+             "n is required for involutions: fixed points are implicit"),
+            (["hasse", "--family", "fpf", "--n", "3"], "n must be a positive even integer, got 3"),
+            (["hasse", "--family", "inv", "--n", "-3"], "n must be at least 1, got -3"),
         ],
-        ids=["wset-p-without-q", "hasse-pq-outside-clans", "hasse-needs-n", "wset-n-0"],
+        ids=[
+            "wset-p-without-q", "hasse-pq-outside-clans", "hasse-needs-n", "wset-n-0",
+            "hasse-clan-needs-pq", "hasse-n-disagrees", "rank-signature-disagrees",
+            "rank-signs-outside-clans", "rank-fpf-gaps", "rank-clan-gaps", "rank-fpf-id",
+            "rank-inv-needs-n", "hasse-fpf-odd-n", "hasse-negative-n",
+        ],
     )
     def test_flag_misuse_exits_2(self, capsys, argv, err) -> None:
         assert run(argv) == 2

@@ -423,6 +423,8 @@ _REJECTED = [
     ("from_cycles (0, 4)", lambda: Involution.from_cycles(4, [(0, 4)]),
      "cycle (0,4) leaves 1..4"),
     ("from_cycles n = 0", lambda: Involution.from_cycles(0, []), _EMPTY),
+    ("from_cycles n = -3", lambda: Involution.from_cycles(-3, []), "n must be at least 1, got -3"),
+    ("from_parts n = -3", lambda: Clan.from_parts(-3, [], {}), "n must be at least 1, got -3"),
     ("fpf from_cycles out of range", lambda: FpfInvolution.from_cycles(4, [(1, 2), (3, 5)]),
      "cycle (3,5) leaves 1..4"),
     ("fpf from_cycles fixed point", lambda: FpfInvolution.from_cycles(3, [(1, 2)]),

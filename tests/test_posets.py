@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import gc
+from pathlib import Path
 
 import pytest
 
 from conftest import brute_clans, brute_fpf, brute_involutions
 import weakorder.posets
 from weakorder import (
+    FAMILIES,
     CoverType,
     Involution,
     WeakOrderPoset,
@@ -382,3 +385,63 @@ class TestTexts:
         assert (Q.up, Q.down) == (P.up, P.down)
         assert [Q.index_of(x) for x in P.elements] == list(range(len(P)))
         assert verify_graded(Q).ok
+
+
+def _family_tests(tree: ast.AST) -> list[int]:
+    """Lines that compare with a family name (or the CLI's "inv"), directly
+    or as a member of a literal tuple, list or set, match one as a case, or
+    key a dict by one, outside the ``_FAMILY`` table and ``_build_parser``."""
+    names = {*FAMILIES, "inv"}
+    allowed: set[int] = set()
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "_FAMILY" for t in node.targets)
+        ) or (isinstance(node, ast.FunctionDef) and node.name == "_build_parser"):
+            allowed.update(map(id, ast.walk(node)))
+    lines: list[int] = []
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+        elif isinstance(node, ast.MatchValue):
+            operands = [node.value]
+        elif isinstance(node, ast.Dict):
+            operands = [k for k in node.keys if k is not None]
+        else:
+            continue
+        for op in operands:
+            for leaf in [op, *getattr(op, "elts", ())]:
+                if isinstance(leaf, ast.Constant) and leaf.value in names:
+                    lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_family_facts_only_in_the_table() -> None:
+    # every per-family fact is a column of posets._FAMILY; a branch on the
+    # name elsewhere would be a second place to change for a new fact
+    src = Path(weakorder.posets.__file__).parent
+    found = {
+        path.name: lines
+        for path in sorted(src.glob("*.py"))
+        if (lines := _family_tests(ast.parse(path.read_text())))
+    }
+    assert found == {}
+
+
+def test_family_test_finder_sees_each_form() -> None:
+    code = """
+if family == "fpf": pass
+if "clan" != x: pass
+if family in ("involution", "fpf"): pass
+if args.family == "inv": pass
+caps = {"involution": 6}
+match family:
+    case "clan": pass
+_FAMILY = {"involution": 1, "fpf": 2}
+def _build_parser():
+    return lambda s: "involution" if s == "inv" else s
+if family == "all" or kind in ("p", "q"): pass
+"""
+    assert _family_tests(ast.parse(code)) == [2, 3, 4, 5, 6, 8]
