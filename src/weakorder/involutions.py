@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from math import comb, prod
 from typing import Iterable
 
-from .permutations import Permutation, identity, length
+from .permutations import Permutation, _inversions, identity
 
 __all__ = [
     "Involution",
@@ -128,7 +128,9 @@ class Involution(_Element):
         return Permutation(self.word)
 
     def image(self, i: int) -> int:
-        return self.as_permutation()(i)
+        if not 1 <= i <= len(self.word):
+            raise ValueError(f"position {i} out of range 1..{len(self.word)}")
+        return self.word[i - 1]
 
     def text(self) -> str:
         """Cycle notation with fixed points implicit; "id" when there are none."""
@@ -218,31 +220,35 @@ def standard_form(u: Permutation) -> Involution:
 
 
 def rank_involution(pi: Involution) -> int:
-    """(length + number of two-cycles) / 2; the weak-order rank.
+    """(length + number of two-cycles) / 2; the weak-order rank, read off
+    the word, which its constructor checked: no ``Permutation`` is built.
 
     >>> rank_involution(Involution.from_cycles(4, [(1, 4), (2, 3)]))
     4
     """
-    return (length(pi.as_permutation()) + pi.num_cycles) // 2
+    return (_inversions(pi.word) + pi.num_cycles) // 2
 
 
 def rank_fpf(pi: FpfInvolution) -> int:
     """rank_involution - k = (length - k) / 2 for the k = n/2 two-cycles, also
-    the inversions of the flattened standard form (a_1, b_1, ..., a_k, b_k).
+    the inversions of the flattened standard form (a_1, b_1, ..., a_k, b_k);
+    read off the word, as ``rank_involution`` is.
 
     >>> rank_fpf(FpfInvolution.from_cycles(6, [(1, 6), (2, 5), (3, 4)]))
     6
     """
-    return (length(pi.as_permutation()) - pi.n // 2) // 2
+    return (_inversions(pi.word) - len(pi.word) // 2) // 2
 
 
 def rank_clan(pi: Clan) -> int:
-    """p*q minus the all-involutions rank of the underlying involution.
+    """p*q minus the all-involutions rank of the underlying involution, read
+    off the word's absolute values: no ``Involution`` is built or checked.
 
     The clan order runs opposite to the involution order, so shortening
     moves go up and the unique bottom has rank 0.
     """
-    return pi.p * pi.q - rank_involution(pi.underlying_involution())
+    cycles = sum(v > i for i, v in enumerate(pi.word, 1))
+    return pi.p * pi.q - (_inversions(map(abs, pi.word)) + cycles) // 2
 
 
 # the sign pairs (at i, i+1) a strand {i, i+1} attaches on and detaches into:

@@ -23,7 +23,7 @@ Conventions, used consistently across the whole package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 __all__ = [
     "Permutation",
@@ -47,7 +47,7 @@ Moves = list[tuple[int, Word]]
 Closure = tuple[list[Word], list[int], list[list[tuple[int, int]]]]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Permutation:
     """An immutable permutation stored as its one-line word.
 
@@ -167,15 +167,20 @@ def compose(u: Permutation, v: Permutation) -> Permutation:
 
 
 def length(u: Permutation) -> int:
-    """Inversions of the one-line word: each value v meets the larger values
-    already seen, the bits above v of a mask of them.
+    """Inversions of the one-line word.
 
     >>> length(identity(5)), length(longest_element(4))
     (0, 6)
     """
+    return _inversions(u.word)
+
+
+def _inversions(word: Iterable[int]) -> int:
+    """Inversions of a word of distinct positive values: each value v meets
+    the larger values already seen, the bits above v of a mask of them."""
     seen = 0
     inversions = 0
-    for v in u.word:
+    for v in word:
         inversions += (seen >> v).bit_count()
         seen |= 1 << v
     return inversions

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
@@ -104,7 +103,7 @@ class WSet:
 
 def _collect(element: Element, rank: int, words: Iterable[tuple[int, ...]]) -> WSet:
     # tuples sort as the one-line words do; each member is validated once here
-    return WSet(element, rank, tuple(Permutation(w) for w in sorted(words)))
+    return WSet(element, rank, tuple(map(Permutation, sorted(words))))
 
 
 # (slot, value) pairs that one step writes
@@ -207,10 +206,10 @@ def wset_involution(pi: Involution) -> WSet:
     - conditions 2-5 are one rule: an earlier block (a0, b0) with b0 < b
       has a0 left of the new block's b.  Only earlier cycles are checked:
       an earlier fixed point took the first free slot, so every later
-      block lands right of it.  The earlier cycles are a prefix of
-      ``pi.cycles``, its length bisected from the cycle heads once per
-      block, and each node scans it for ``last``, the rightmost such a0.
-      A table of earlier cycles per block would be quadratic in memory;
+      block lands right of it.  The earlier cycles are a prefix of the
+      cycles, its length counted in the set-up pass, and each node scans
+      it for ``last``, the rightmost such a0.  A table of earlier cycles
+      per block would be quadratic in memory;
     - a cycle (a, b) leaves at most room(a, b) free slots left of b, the
       number of values inside (a, b) whose block is nested inside it.
       Only those values can fill the slots: every later block has a
@@ -220,18 +219,23 @@ def wset_involution(pi: Involution) -> WSet:
       bound.
 
     So every completed word is a member, and each member is reached once.
-    ``_search`` runs the placement.
+    One pass over the word sets it up, and ``_search`` runs the placement.
 
     >>> pi = Involution.from_cycles(5, [(1, 3), (2, 5)])
     >>> [w.as_text(compact=True) for w in wset_involution(pi).members]
     ['31452', '31524']
     """
-    n, cycles = pi.n, pi.cycles
-    blocks = [(a, b) for a, b in enumerate(pi.word, 1) if b >= a]
-    mate = (0,) + pi.word
-    room = [sum(a < mate[v] < b for v in range(a + 1, b)) for a, b in blocks]
-    # before[t]: how many cycles come before block t, all of them placed
-    before = [bisect_left(cycles, (a,)) for a, b in blocks]
+    mate, n = pi.word, pi.n
+    # before[t]: how many cycles come before block t, all of them placed;
+    # room[t]: the values inside (a, b) whose mates, mate[a : b - 1], are too
+    blocks, cycles, before, room = [], [], [], []
+    for a, b in enumerate(mate, 1):
+        if b >= a:
+            blocks.append((a, b))
+            before.append(len(cycles))
+            room.append(len([v for v in mate[a : b - 1] if a < v < b]))
+            if b > a:
+                cycles.append((a, b))
     # first[t]: the first free slot when step t - 1 ran, 0 for step 0
     first = [0] * (len(blocks) + 1)
 

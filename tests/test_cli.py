@@ -601,6 +601,52 @@ def test_chains_output_frozen(capsys, family, param, digests) -> None:
     assert got == digests
 
 
+# SHA-256 of plain `wset` stdout over every element of the poset, in poset
+# order, member order included, recorded before the fixed costs of the W-set
+# path were cut; any change to a member, its order or its text shows here.
+_WSET_SHA256 = [
+    ("involution", 1, "acc07b62f23f458923737c4cd4a66bd05d1e71eb4f384003baaf2dcc760d6349"),
+    ("involution", 2, "75fbbb8c0c0ade2c0dc09100eb0d637deab8e46291ff623b018069f84686ce36"),
+    ("involution", 3, "edb84dee26670c071851bb60688795159b3d850b75c1298f61daa450545b8744"),
+    ("involution", 4, "713fa107085bf16377730e962cfc11e6d9afae89b7036f4b96833c484a59ac46"),
+    ("involution", 5, "2d5ecf2bee7b1e2db70abdf475a29051e404122ddcac2393c7b9d4f4313e12ce"),
+    ("involution", 6, "5068dc691ed625b9823641ccc148428a507ad5d27717f2d5a4f01b0db27b4af9"),
+    ("involution", 7, "fb2309fb7ad6259f98c729ced06ed47d4bd749121ab62095f732054d5825f7e4"),
+    ("fpf", 2, "f109b002d2f351fa534341fcb7d18145d187efd8a47fc21539f8395a7a85d0d6"),
+    ("fpf", 4, "add121fad22648807a0d83ecc4b93a244b74711d94ccf58424177b66b54daf32"),
+    ("fpf", 6, "f226d5d428c13fdf93b3200d3c37c35e7621c99321bc6606a7cb13a0162e21f0"),
+    ("fpf", 8, "49e312a0533b09b257dad5b581aba3e098d6be49ed35db6621a6b69e6080073a"),
+    ("clan", (1, 1), "03eeb1125c76232c8ededb220ed80e432c0e37aea05cae1a6e8f477e029c5fbb"),
+    ("clan", (1, 2), "22b696740883257486c1b7451899a13324cc9b550030eda0519ada851603b1dd"),
+    ("clan", (2, 1), "949dddde9022a9bf8e5749c84bdb75487a863530a79267be23767e6b2cca04d2"),
+    ("clan", (1, 3), "2361b025e167e955e6ffddd1dfb2a1cf70a619bee67d9f1a81af504aa6dd2218"),
+    ("clan", (2, 2), "4de2f3d3a080c53e8b5cbe663ae82adc356f5a1ef789e6e1cb56ce792441c663"),
+    ("clan", (3, 1), "bab051dbe9f0c4f369be1c56c8122917ee8f756a2a4d09c2b14284a49e69680c"),
+    ("clan", (1, 4), "d25497198de3a0e7673d99451b3ea80c9a32cd9a481272593dfa6ab58a04358f"),
+    ("clan", (2, 3), "706d279317be774b9408648d842d881847410aef0cb4beb2101ccd59d12a34bf"),
+    ("clan", (3, 2), "a2e9310e9a6b7ddd92f58e66e69e8ed2bda7427205deff5111c8ca9101871769"),
+    ("clan", (4, 1), "88f688e305ddaa33b8df057410be599f1de67b483064c36f46aa7e22e6ddfa13"),
+    ("clan", (1, 5), "d0c296e4aa8f6f5ac8553aa01c3e25fc0fc1fcbbc1870462853d28d0eb31da63"),
+    ("clan", (2, 4), "a8a58378cfecf0a523ee6ac47dac13fd4a4fba963cb699acf13762706b38a079"),
+    ("clan", (3, 3), "24de54e55a507aac605ddd509ec0945eada0e34ab0c7d48e1ce2d15c7eaff37e"),
+    ("clan", (4, 2), "1914f8b10fc2ee6aca849c1c17dccf80a657d7102ff9b26d6e90978970aa1a9d"),
+    ("clan", (5, 1), "bceeb39cdc943909193a52fcb241b044a007aa394d9bdd4c1febfa8eb9e5e242"),
+]
+
+
+@pytest.mark.parametrize(
+    ("family", "param", "digest"),
+    _WSET_SHA256,
+    ids=[f"{family}-{param}" for family, param, _ in _WSET_SHA256],
+)
+def test_wset_output_frozen(capsys, family, param, digest) -> None:
+    h = hashlib.sha256()
+    for x in build_poset(family, param).elements:
+        assert run(["wset", "--family", family, "--n", str(x.n), "--element", x.text()]) == 0
+        h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest() == digest
+
+
 # SHA-256 of `verify` stdout, recorded before an agreeing W-set was validated
 # once instead of once per side; any change to the job list, the counts or
 # the agreement shows here.

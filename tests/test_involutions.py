@@ -26,12 +26,14 @@ from weakorder import (
     Involution,
     Permutation,
     bottom_element,
+    build_poset,
     clan_count,
     downward_covers_clan,
     downward_covers_fpf,
     downward_covers_involution,
     fpf_count,
     involution_count,
+    matching_length,
     rank_clan,
     rank_fpf,
     rank_involution,
@@ -101,6 +103,13 @@ class TestConstruction:
         assert all(pi.image(pi.image(i)) == i for i in range(1, pi.n + 1))
         assert standard_form(u) == pi
 
+    def test_image_reads_the_word(self) -> None:
+        pi = Involution.from_cycles(5, [(1, 3), (2, 5)])
+        assert [pi.image(i) for i in range(1, 6)] == [3, 5, 1, 4, 2]
+        for i in (0, 6):
+            with pytest.raises(ValueError, match=rf"^position {i} out of range 1\.\.5$"):
+                pi.image(i)
+
     def test_standard_form_rejects_non_involution(self) -> None:
         with pytest.raises(ValueError):
             standard_form(Permutation((2, 3, 1)))
@@ -130,6 +139,28 @@ class TestRanks:
         assert rank_involution(bottom_element("involution", 5)) == 0
         assert rank_fpf(bottom_element("fpf", 6)) == 0
         assert rank_clan(bottom_element("clan", (2, 3))) == 0
+
+    # the references go through a checked Permutation and the public length,
+    # never the word's own inversion count that the ranks read
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_involution_rank_references(self, n) -> None:
+        for pi in build_poset("involution", n).elements:
+            two_cycles = sum(v > i for i, v in enumerate(pi.word, 1))
+            want = (length(Permutation(pi.word)) + two_cycles) // 2
+            assert rank_involution(pi) == want == matching_length(pi)
+
+    @pytest.mark.parametrize("n", (2, 4, 6, 8))
+    def test_fpf_rank_references(self, n) -> None:
+        for pi in build_poset("fpf", n).elements:
+            flat = tuple(v for i, j in enumerate(pi.word, 1) if j > i for v in (i, j))
+            assert rank_fpf(pi) == length(Permutation(flat))
+            assert rank_fpf(pi) == rank_involution(Involution(pi.word)) - n // 2
+
+    @pytest.mark.parametrize(("p", "q"), [(p, t - p) for t in range(2, 7) for p in range(1, t)])
+    def test_clan_rank_references(self, p, q) -> None:
+        for pi in build_poset("clan", (p, q)).elements:
+            under = Involution(tuple(abs(v) for v in pi.word))
+            assert rank_clan(pi) == p * q - rank_involution(under)
 
 
 class TestCounts:
