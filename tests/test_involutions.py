@@ -140,8 +140,8 @@ class TestRanks:
         assert rank_fpf(bottom_element("fpf", 6)) == 0
         assert rank_clan(bottom_element("clan", (2, 3))) == 0
 
-    # the references go through a checked Permutation and the public length,
-    # never the word's own inversion count that the ranks read
+    # the references build a checked Permutation and call the public length,
+    # where the ranks read the element's word; matching_length shares neither
     @pytest.mark.parametrize("n", range(1, 8))
     def test_involution_rank_references(self, n) -> None:
         for pi in build_poset("involution", n).elements:
