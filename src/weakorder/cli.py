@@ -45,7 +45,7 @@ from .posets import (
     verify_graded,
     wset_direct,
 )
-from .wsets import oracle_words, wset_oracle
+from .wsets import _collect, oracle_words
 
 _II = CoverType.II
 
@@ -283,7 +283,13 @@ def _cmd_chains(args: argparse.Namespace) -> int:
 
 
 def _check_size(family: str, param: "int | tuple[int, int]", limit: int) -> None:
-    """Raise ValueError if the closed-form element count is above ``limit``."""
+    """Raise ValueError if the size, then the closed-form element count, is over its limit."""
+    if sum(_named(family, param).values()) > _MAX_COUNTED_SIZE:
+        raise ValueError(
+            f"{_describe(family, param)} is above the size limit "
+            f"{'+'.join(_family(family).flags)} <= {_MAX_COUNTED_SIZE}; "
+            "its elements are not counted"
+        )
     count = _family(family).count(param)
     if count > limit:
         # str() refuses ints of more than 4300 digits, and no one reads them
@@ -323,6 +329,9 @@ def _only(mine: tuple, theirs: tuple, side: str) -> str:
 # the default element limit of ``hasse`` and ``verify``: it admits
 # involutions n <= 12, fpf n <= 14 and clans p+q <= 11
 _MAX_ELEMENTS = 250_000
+# sizes (n, or p+q) above this are refused uncounted: a count costs time
+# quadratic in the size, under 0.1 s at this one
+_MAX_COUNTED_SIZE = 10_000
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -345,14 +354,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for v in report.violations:
             failures.append(f"{_describe(fam, param)}: {v}")
         agree = 0
-        for j, x in enumerate(P.elements):
+        for x, rank, words in zip(P.elements, P.ranks, oracle_words(P)):
             direct = wset_direct(fam, x).members
             # words equal to the validated direct members pass every check
             # of WSet, so the oracle's WSet is built only on a difference
-            if oracle_words(P, j) == [w.word for w in direct]:
+            if words == [w.word for w in direct]:
                 agree += 1
                 continue
-            oracle = wset_oracle(P, x).members
+            oracle = _collect(x, rank, words).members
             failures.append(
                 f"{_describe(fam, param)}: W-set mismatch at {x.text()}: "
                 f"{_only(direct, oracle, 'direct')}, {_only(oracle, direct, 'oracle')}"

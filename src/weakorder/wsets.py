@@ -30,9 +30,9 @@ the family's construction.
 Each direct construction reaches every member once, so none deduplicates:
 ``WSet`` rejects a repeated member.  ``wset_oracle`` computes the same sets
 by brute force over labeled chains; the test suite certifies that each
-direct construction agrees with it.  ``verify`` compares the oracle's
-words with the validated direct members, so an agreeing W-set is validated
-once; it builds the oracle's ``WSet`` only on a difference.
+direct construction agrees with it.  ``verify`` compares one sweep's
+words, ``oracle_words``, with the validated direct members, so an agreeing
+W-set is validated once; it builds the oracle's ``WSet`` only on a difference.
 
 >>> pi = Involution.from_cycles(4, [(1, 4), (2, 3)])
 >>> [w.as_text(compact=True) for w in wset_involution(pi).members]
@@ -42,9 +42,8 @@ once; it builds the oracle's ``WSet`` only on a difference.
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .involutions import (
     Clan,
@@ -353,23 +352,14 @@ def wset_clan(pi: Clan) -> WSet:
     return _collect(pi, rank_clan(pi), _search(n, last + 1, peel))
 
 
-# chain products per poset, dropped together with the poset
-_PRODUCTS: "weakref.WeakKeyDictionary[WeakOrderPoset, list[set[tuple[int, ...]]]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def _chain_products(P: WeakOrderPoset) -> "list[set[tuple[int, ...]]]":
-    """Chain products for every element of P at once, cached per poset.
+    """Chain products for every element of P at once, in element order.
 
     One upward sweep in index order (a topological order, the bottom
     first): the products of an element extend those of each lower neighbor
     by one letter per label.  The letter s_i acts on the left, so it swaps
     the values i and i+1 of the one-line word.
     """
-    cached = _PRODUCTS.get(P)
-    if cached is not None:
-        return cached
     products: list[set[tuple[int, ...]]] = [set() for _ in P.elements]
     products[0].add(tuple(range(1, P.bottom.n + 1)))
     for j, got in enumerate(products):
@@ -380,22 +370,22 @@ def _chain_products(P: WeakOrderPoset) -> "list[set[tuple[int, ...]]]":
                     u = list(w)
                     u[w.index(i)], u[w.index(i + 1)] = i + 1, i
                     target.add(tuple(u))
-    _PRODUCTS[P] = products
     return products
 
 
-def oracle_words(P: WeakOrderPoset, j: int) -> list[tuple[int, ...]]:
-    """Element j's chain products as sorted words: what ``verify`` compares."""
-    return sorted(_chain_products(P)[j])
+def oracle_words(P: WeakOrderPoset) -> Iterator[list[tuple[int, ...]]]:
+    """Every element's chain products as sorted words, in element order, from
+    one sweep of P: what ``verify`` compares.  Each is sorted as it is read."""
+    return map(sorted, _chain_products(P))
 
 
 def wset_oracle(P: WeakOrderPoset, x: Element) -> WSet:
     """Brute-force W-set of x: all products over labeled maximal chains.
 
     Certifies the direct constructions.  Every product comes out at length
-    rank(x), which ``WSet`` checks, so no length filtering happens.
-    ``verify`` builds it only where ``oracle_words`` differ from the direct
-    members, as words equal to validated members pass every ``WSet`` check.
+    rank(x), which ``WSet`` checks, so no length filtering happens.  Each
+    call sweeps the whole of P, so a loop over every element should read
+    ``oracle_words(P)`` once instead, as ``verify`` does.
     """
     j = P.index_of(x)
-    return _collect(x, P.ranks[j], oracle_words(P, j))
+    return _collect(x, P.ranks[j], _chain_products(P)[j])

@@ -766,7 +766,7 @@ class TestRunVerify:
 
     # faults go in at wsets._chain_products, the oracle's products that both
     # verify's comparison and wset_oracle read; each fault returns modified
-    # copies and leaves the per-poset cache as it is
+    # copies of the real sweep's products
 
     def test_json_reports_failures(self, capsys, monkeypatch) -> None:
         import weakorder.wsets
@@ -798,6 +798,44 @@ class TestRunVerify:
             "involution n=4: W-set mismatch at (1,4)(2,3): "
             "1 only direct ([3,2,4,1]), 0 only oracle"
         ) in err
+
+    def test_one_sweep_per_job(self, capsys, monkeypatch) -> None:
+        # verify sweeps each poset's chain products once, passing or failing;
+        # a per-element oracle lookup would count once per element, and once
+        # more per element that disagrees
+        import weakorder.wsets
+
+        real, calls = weakorder.wsets._chain_products, []
+
+        def counted(P):
+            calls.append(P)
+            return real(P)
+
+        monkeypatch.setattr(weakorder.wsets, "_chain_products", counted)
+        assert run(["verify", "--family", "all", "--n", "5", "--json"]) == 0
+        jobs = json.loads(capsys.readouterr().out)["jobs"]
+        assert len(calls) == len(jobs) == 17
+
+        def drop_one(P):
+            calls.append(P)
+            return [set(sorted(words)[1:]) for words in real(P)]
+
+        calls.clear()
+        monkeypatch.setattr(weakorder.wsets, "_chain_products", drop_one)
+        assert run(["verify", "--family", "inv", "--n", "4"]) == 1
+        assert len(calls) == 4
+        captured = capsys.readouterr()
+        assert captured.out.count("[FAIL]") == 4
+        # every element disagrees: 1 + 2 + 4 + 10 failure lines, the bytes
+        # that verify wrote when it built one oracle WSet per element
+        assert len(captured.err.splitlines()) == 17
+        assert (
+            "involution n=4: W-set mismatch at (1,4)(2,3): "
+            "1 only direct ([3,2,4,1]), 0 only oracle"
+        ) in captured.err
+        assert hashlib.sha256(captured.err.encode()).hexdigest() == (
+            "13259696bd8ce5116d0a1d90597942efccfeb8b43a22ff088b1e246759242f63"
+        )
 
     @pytest.mark.parametrize(
         "bad, err",
@@ -897,10 +935,24 @@ class TestSizeGuard:
             (["hasse", "--family", "inv", "--n", "10000"],
              "error: involution n=10000 has about 10^17872 elements, "
              "above --max-elements 250000\n"),
+            # above the size limit the count is not computed at all
+            (["hasse", "--family", "inv", "--n", "300000"],
+             "error: involution n=300000 is above the size limit n <= 10000; "
+             "its elements are not counted\n"),
+            (["hasse", "--family", "inv", "--n", "100000000000000000000000"],
+             "error: involution n=100000000000000000000000 is above the size limit "
+             "n <= 10000; its elements are not counted\n"),
+            (["hasse", "--family", "fpf", "--n", "600000"],
+             "error: fpf n=600000 is above the size limit n <= 10000; "
+             "its elements are not counted\n"),
+            (["hasse", "--family", "clan", "--p", "1000000", "--q", "1000000"],
+             "error: clan (p,q)=(1000000,1000000) is above the size limit "
+             "p+q <= 10000; its elements are not counted\n"),
         ],
         ids=[
             "hasse-inv-30", "verify-inv-30", "verify-all-40", "hasse-clan-6-6",
-            "hasse-fpf-2000", "hasse-inv-10000",
+            "hasse-fpf-2000", "hasse-inv-10000", "hasse-inv-300000", "hasse-inv-10^23",
+            "hasse-fpf-600000", "hasse-clan-10^6-10^6",
         ],
     )
     def test_refused_from_the_count(self, capsys, no_build, argv, err) -> None:

@@ -402,23 +402,6 @@ class TestOracleAgreement:
         assert len(ws) == 8
         assert lengths == conversions == list(ws.members)
 
-    def test_oracle_memo_lives_with_the_poset(self) -> None:
-        import gc
-        import weakref
-
-        import weakorder.wsets
-
-        P = build_poset("clan", (2, 2))
-        first = wset_oracle(P, P.elements[-1])
-        memo = weakorder.wsets._PRODUCTS[P]
-        assert wset_oracle(P, P.elements[-1]) == first
-        assert weakorder.wsets._PRODUCTS[P] is memo
-        gone = weakref.ref(P)
-        del P
-        gc.collect()
-        assert gone() is None
-        assert all(m is not memo for m in weakorder.wsets._PRODUCTS.values())
-
     def test_dispatch(self) -> None:
         pi = inv(4, (1, 2))
         assert wset_direct("involution", pi) == wset_involution(pi)
