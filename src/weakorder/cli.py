@@ -28,6 +28,7 @@ import json
 import math
 import re
 import sys
+from bisect import bisect_left
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 
@@ -337,13 +338,24 @@ _MAX_COUNTED_SIZE = 10_000
 def _cmd_verify(args: argparse.Namespace) -> int:
     families = FAMILIES if args.family == "all" else (args.family,)
     jobs = []
-    # every job passes the size guard before any is built; counts grow with
-    # n, so a huge cap stops at its first job above the limit
+    # counts grow with the size, so before anything is built, bisection finds
+    # the first size with a job over the limit (with n - 1: fpf skips odd n)
     for fam in families:
-        for n in range(1, (_family(fam).cap if args.n is None else args.n) + 1):
-            for param in _family(fam).params(n):
-                _check_size(fam, param, args.max_elements)
-                jobs.append((fam, param))
+        sizes = range(1, (_family(fam).cap if args.n is None else args.n) + 1)
+
+        def refused(n: int, fam: str = fam) -> bool:
+            try:
+                for m in range(max(n - 1, 1), n + 1):
+                    for param in _family(fam).params(m):
+                        _check_size(fam, param, args.max_elements)
+            except ValueError:
+                return True
+            return False
+
+        first = bisect_left(sizes, True, key=refused)
+        for param in _family(fam).params(sizes[first]) if first < len(sizes) else []:
+            _check_size(fam, param, args.max_elements)
+        jobs += [(fam, param) for n in sizes for param in _family(fam).params(n)]
     if not jobs:
         raise ValueError(f"--family {args.family} --n {args.n} leaves nothing to verify")
     failures: list[str] = []

@@ -10,8 +10,7 @@ Each family also admits a direct construction that never touches the poset:
 
 - involutions: an exact placement of the cycles and fixed points, in
   order of their smaller end, that enforces the five positional
-  conditions of ``check_conditions_involution`` while it places, so
-  every completed word is a member;
+  conditions of ``check_conditions_involution`` while it places;
 - fixed-point-free involutions: all concatenations of the two-element blocks
   [a_i, b_i] in any order that keeps block i before block j whenever both
   a_i < a_j and b_i < b_j;
@@ -20,19 +19,15 @@ Each family also admits a direct construction that never touches the poset:
   opposite-sign pair of isolated vertices to the outer free slots (large end
   left), until only same-sign isolated vertices remain in the middle.
 
-All three constructions are placement rules on one explicit-stack loop,
-``_search``, so none recurses.  Each reads the element's standard form off
-its word once, before the search.  They, and the oracle, work on one-line
-tuples: ``_collect`` turns each member into a ``Permutation`` once, and
-``WSet`` checks each member's length once.  ``posets.wset_direct`` picks
-the family's construction.
-
-Each direct construction reaches every member once, so none deduplicates:
-``WSet`` rejects a repeated member.  ``wset_oracle`` computes the same sets
-by brute force over labeled chains; the test suite certifies that each
-direct construction agrees with it.  ``verify`` compares one sweep's
-words, ``oracle_words``, with the validated direct members, so an agreeing
-W-set is validated once; it builds the oracle's ``WSet`` only on a difference.
+All three run on one level-wise search, ``_search``, after one set-up pass
+over the element's word; its states are tuples.  Each reaches every member
+once, so none deduplicates.  ``_collect`` turns each member into a
+``Permutation`` once, and ``WSet`` checks each member's length once and
+rejects a repeat.  ``posets.wset_direct`` picks the family's construction.
+``wset_oracle`` computes the same sets by brute force over labeled chains,
+and the tests certify that each direct construction agrees with it.
+``verify`` compares one sweep's words, ``oracle_words``, with the validated
+direct members, so an agreeing W-set is validated once.
 
 >>> pi = Involution.from_cycles(4, [(1, 4), (2, 3)])
 >>> [w.as_text(compact=True) for w in wset_involution(pi).members]
@@ -43,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .involutions import (
@@ -105,41 +101,18 @@ def _collect(element: Element, rank: int, words: Iterable[tuple[int, ...]]) -> W
     return WSet(element, rank, tuple(map(Permutation, sorted(words))))
 
 
-# (slot, value) pairs that one step writes
-_Choice = tuple[tuple[int, int], ...]
+def _search(start: tuple, steps: int, level: Callable, word: Callable = itemgetter(0)) -> list:
+    """The ``word`` of every state that ``steps`` steps reach from ``start``.
 
-
-def _search(
-    n: int, steps: int, choices: Callable[[int, list[int], list[int]], list[_Choice]]
-) -> list[tuple[int, ...]]:
-    """Every word completed by ``steps`` placement steps, on an explicit stack.
-
-    ``word[s]`` is 0 while slot s is free and ``pos[v]`` is -1 while the
-    value v is unplaced.  ``choices(t, word, pos)`` returns the list of
-    choices of step t given steps < t; the stack keeps one (list, cursor)
-    pair per placed step, the cursor one past the choice held, so any
-    number of steps stays within the recursion limit.
+    ``level(t)`` does step t's set-up once and returns the step, mapping the
+    states after steps < t to their children, each a new tuple, so nothing
+    is undone.  The steps and the final read pop the states they read, so
+    about one level is held at a time.
     """
-    word = [0] * n
-    pos = [-1] * (n + 1)
-    words: list[tuple[int, ...]] = []
-    stack = [(choices(0, word, pos), 0)]
-    while stack:
-        options, k = stack[-1]
-        if k:
-            for s, v in options[k - 1]:
-                word[s], pos[v] = 0, -1
-        if k == len(options):
-            stack.pop()
-            continue
-        stack[-1] = (options, k + 1)
-        for s, v in options[k]:
-            word[s], pos[v] = v, s
-        if len(stack) == steps:
-            words.append(tuple(word))
-        else:
-            stack.append((choices(len(stack), word, pos), 0))
-    return words
+    states = [start]
+    for t in range(steps):
+        states = level(t)(states)
+    return [word(states.pop()) for _ in range(len(states))]
 
 
 def check_conditions_involution(w: Permutation, pi: Involution) -> bool:
@@ -191,75 +164,96 @@ def check_conditions_involution(w: Permutation, pi: Involution) -> bool:
 def wset_involution(pi: Involution) -> WSet:
     """Direct W-set of an involution, by exact placement.
 
-    Each fixed point c is the one-slot block (c, c), and cycles and fixed
-    points are placed together in order of their smaller end:
+    Each fixed point c is the one-slot block (c, c).  Blocks are placed in
+    order of their smaller end, one step per cycle: step k writes the fixed
+    points between cycles k - 1 and k, then cycle k, and one more step the
+    fixed points after the last cycle.  A state is (word, a lower bound of
+    its first free slot, the slot of each placed cycle's smaller end).
 
-    - a cycle (a, b) takes two consecutive free slots, b on the left.
-      Condition 1 needs no check: only earlier blocks are placed, each
-      with its smaller end below a, so a placed value in (a, b) is some
-      b0 with a0 < a < b0 < b.  As b0 < b, the rule below puts a0 left
-      of b, and b0 was placed left of a0, so never between b and a;
-    - a fixed point takes the first free slot, because every later block
-      lands to its right.  Slots only fill along a path, so each step
-      scans for free slots from the first free slot of the step before;
-    - conditions 2-5 are one rule: an earlier block (a0, b0) with b0 < b
-      has a0 left of the new block's b.  Only earlier cycles are checked:
-      an earlier fixed point took the first free slot, so every later
-      block lands right of it.  The earlier cycles are a prefix of the
-      cycles, its length counted in the set-up pass, and each node scans
-      it for ``last``, the rightmost such a0.  A table of earlier cycles
-      per block would be quadratic in memory;
-    - a cycle (a, b) leaves at most room(a, b) free slots left of b, the
-      number of values inside (a, b) whose block is nested inside it.
-      Only those values can fill the slots: every later block has a
-      larger smaller end, so one reaching above b puts its larger end
-      (or its fixed point) right of a.  The free slots left of b grow
-      along the scan, so the scan stops at the first that breaks the
-      bound.
+    - A cycle (a, b) takes two consecutive free slots, b on the left, with
+      at most room(a, b) free slots left of b: the values inside (a, b)
+      whose block is nested in it.  Only those can fill the slots, as any
+      later block reaching above b lands right of a.
+    - Condition 1 needs no check: a placed value in (a, b) is some b0 with
+      a0 < a < b0 < b, and the rule below puts a0, and so b0, left of b.
+    - Conditions 2-5 are one rule: an earlier cycle (a0, b0) with b0 < b
+      has a0 left of the new block's b.  Each step lists once the earlier
+      cycles its cycle must check (a table per block would be quadratic in
+      memory); ``last`` is the rightmost of their a0 slots.
+    - A fixed point c takes the first free slot, as every later block
+      lands to its right.  It needs no check: left of an earlier cycle's
+      b0, the free slots never outnumber the values yet to come nested in
+      (a0, b0), by the room bound of that cycle and of each nested one,
+      and all those values are below c.
 
     So every completed word is a member, and each member is reached once.
-    One pass over the word sets it up, and ``_search`` runs the placement.
 
     >>> pi = Involution.from_cycles(5, [(1, 3), (2, 5)])
     >>> [w.as_text(compact=True) for w in wset_involution(pi).members]
     ['31452', '31524']
     """
     mate, n = pi.word, pi.n
-    # before[t]: how many cycles come before block t, all of them placed;
-    # room[t]: the values inside (a, b) whose mates, mate[a : b - 1], are too
-    blocks, cycles, before, room = [], [], [], []
+    # cycles[k]: (a, b, room(a, b)), room read off the mates mate[a : b - 1];
+    # fixed[k]: the fixed points between cycles k - 1 and k, the last list
+    # after every cycle; above[k]: the last earlier cycle with larger b, or -1
+    cycles, fixed, above = [], [[]], []
     for a, b in enumerate(mate, 1):
-        if b >= a:
-            blocks.append((a, b))
-            before.append(len(cycles))
-            room.append(len([v for v in mate[a : b - 1] if a < v < b]))
-            if b > a:
-                cycles.append((a, b))
-    # first[t]: the first free slot when step t - 1 ran, 0 for step 0
-    first = [0] * (len(blocks) + 1)
+        if b == a:
+            fixed[-1].append(a)
+        elif b > a:
+            i = len(cycles) - 1
+            while i >= 0 and cycles[i][1] < b:
+                i = above[i]
+            above.append(i)
+            cycles.append((a, b, len([v for v in mate[a : b - 1] if a < v < b])))
+            fixed.append([])
 
-    def place(t: int, word: list[int], pos: list[int]) -> list[_Choice]:
-        a, b = blocks[t]
-        last = -1
-        for a0, b0 in cycles[: before[t]]:
-            if b0 < b and pos[a0] > last:
-                last = pos[a0]
-        if a == b:
-            first[t + 1] = lo = word.index(0, first[t])
-            return [((lo, a),)] if lo > last else []
-        free: list[int] = []
-        for s in range(first[t], n):
-            if not word[s]:
-                free.append(s)
-                if len(free) == room[t] + 2:
-                    break
-        first[t + 1], out = free[0], []
-        for pb, pa in zip(free, free[1:]):
-            if pb > last:
-                out.append(((pb, b), (pa, a)))
-        return out
+    def level(k: int) -> Callable[[list], list]:
+        fix = fixed[k]
+        a, b, room = cycles[k] if k < len(cycles) else (0, 0, -1)
+        # the earlier cycles with b0 < b.  Of two such, the later one with
+        # the larger b0 has its a0 right of the other's, so only it is kept,
+        # and the scan skips to the last earlier cycle with a larger b0
+        into, top, i = [], 0, k - 1
+        while i >= 0:
+            b0 = cycles[i][1]
+            if top < b0 < b:
+                top = b0
+                into.append(i)
+            i = above[i] if b0 < b else i - 1
 
-    return _collect(pi, rank_involution(pi), _search(n, len(blocks), place))
+        def step(states: list) -> list:
+            out = []
+            while states:
+                w, lo, slots = states.pop()
+                if fix:
+                    u = list(w)
+                    for c in fix:
+                        lo = u.index(0, lo)
+                        u[lo] = c
+                    w = tuple(u)
+                    if not b:
+                        out.append((w, lo, slots))
+                        continue
+                last = -1
+                for i in into:
+                    if slots[i] > last:
+                        last = slots[i]
+                # room(a, b) + 2 free slots, each but the last a slot for b
+                pb = first = w.index(0, lo)
+                for _ in range(room + 1):
+                    pa = w.index(0, pb + 1)
+                    if pb > last:
+                        u = list(w)
+                        u[pb], u[pa] = b, a
+                        out.append((tuple(u), first, slots + (pa,)))
+                    pb = pa
+            return out
+
+        return step
+
+    words = _search(((0,) * n, 0, ()), len(cycles) + bool(fixed[-1]), level)
+    return _collect(pi, rank_involution(pi), words)
 
 
 def wset_fpf(pi: FpfInvolution) -> WSet:
@@ -267,26 +261,29 @@ def wset_fpf(pi: FpfInvolution) -> WSet:
 
     Members are exactly the concatenations of the two-element blocks
     [a_t, b_t] in which block t stays before block u whenever a_t < a_u
-    and b_t < b_u.  Step t writes a block at slots 2t and 2t+1: scanning
-    the unplaced blocks in order of a, it may take each block whose b is
-    below the running minimum of the b's scanned so far.  So each linear
-    extension of that precedence is emitted once.
+    and b_t < b_u.  A state is (prefix, the unplaced blocks in order of a).
+    Each step appends a block: scanning the unplaced blocks, it may take
+    each block whose b is below the running minimum of the b's scanned so
+    far.  So each linear extension of that precedence is emitted once.
 
     >>> pi = FpfInvolution.from_cycles(4, [(1, 4), (2, 3)])
     >>> [w.as_text(compact=True) for w in wset_fpf(pi).members]
     ['1423', '2314']
     """
-
     n, cycles = pi.n, pi.cycles
-    def place(t: int, word: list[int], pos: list[int]) -> list[_Choice]:
-        low, out = n + 1, []
-        for a, b in cycles:
-            if pos[a] < 0 and b < low:
-                low = b
-                out.append(((2 * t, a), (2 * t + 1, b)))
+
+    def step(states: list) -> list:
+        out = []
+        while states:
+            prefix, rest = states.pop()
+            low = n + 1
+            for i, (a, b) in enumerate(rest):
+                if b < low:
+                    low = b
+                    out.append((prefix + (a, b), rest[:i] + rest[i + 1 :]))
         return out
 
-    return _collect(pi, rank_fpf(pi), _search(n, len(cycles), place))
+    return _collect(pi, rank_fpf(pi), _search(((), cycles), len(cycles), lambda t: step))
 
 
 def wstar(n: int) -> Permutation:
@@ -312,10 +309,12 @@ def wset_clan(pi: Clan) -> WSet:
     strand with both endpoints in A (small endpoint left), or two isolated
     vertices of opposite sign, adjacent in A and likewise nested in no such
     strand (large one left).  Then A holds only same-sign isolated vertices,
-    and they fill the middle in increasing order.  A step is one scan of A
-    in increasing order keeping ``reach``, the largest right end of a strand
-    opened so far: strand (v, w) is a choice iff reach < w (at a right end,
-    reach >= v > w), and the pair (prev, v) iff reach < v.
+    and they fill the middle in increasing order.  A state is (left
+    letters, A in increasing order, right letters), so its word is their
+    concatenation.  A step is one scan of A keeping ``reach``, the largest
+    right end of a strand opened so far: strand (v, w) is a choice iff
+    reach < w (at a right end, reach >= v > w), and the pair (prev, v) iff
+    reach < v.
 
     The peeling is injective: distinct choice sequences give distinct words.
     A step fixes the outermost free pair of letters, and the choices at one
@@ -327,29 +326,31 @@ def wset_clan(pi: Clan) -> WSet:
     >>> [w.as_text(compact=True) for w in wset_clan(c).members]
     ['2341', '3142']
     """
-    n, last = pi.n, min(pi.p, pi.q)
     # mate[v]: the other end of v's strand, or 0; sign[v]: v's sign if isolated, or 0
     mate = [0] + [v if v > 0 and v != i else 0 for i, v in enumerate(pi.word, 1)]
     sign = [0] + [v // i if v == i or v == -i else 0 for i, v in enumerate(pi.word, 1)]
 
-    def peel(t: int, word: list[int], pos: list[int]) -> list[_Choice]:
-        if t == last:
-            return [tuple(zip(range(t, n - t), [v for v in range(1, n + 1) if pos[v] < 0]))]
-        reach, prev, out = 0, 0, []
-        for v in range(1, n + 1):
-            if pos[v] >= 0:
-                continue
-            w = mate[v]
-            if w:
-                if reach < w:
-                    out.append(((t, v), (n - 1 - t, w)))
-                    reach = w
-            elif sign[prev] == -sign[v] and reach < v:
-                out.append(((t, v), (n - 1 - t, prev)))
-            prev = v
+    def step(states: list) -> list:
+        out = []
+        while states:
+            left, rest, right = states.pop()
+            reach = prev = 0
+            for i, v in enumerate(rest):
+                w = mate[v]
+                if w:
+                    if reach < w:
+                        j = rest.index(w, i)
+                        middle = rest[:i] + rest[i + 1 : j] + rest[j + 1 :]
+                        out.append((left + (v,), middle, (w,) + right))
+                        reach = w
+                elif sign[prev] == -sign[v] and reach < v:
+                    out.append((left + (v,), rest[: i - 1] + rest[i + 1 :], (prev,) + right))
+                prev = v
         return out
 
-    return _collect(pi, rank_clan(pi), _search(n, last + 1, peel))
+    start = ((), tuple(range(1, pi.n + 1)), ())
+    words = _search(start, min(pi.p, pi.q), lambda t: step, lambda s: s[0] + s[1] + s[2])
+    return _collect(pi, rank_clan(pi), words)
 
 
 def _chain_products(P: WeakOrderPoset) -> "list[set[tuple[int, ...]]]":

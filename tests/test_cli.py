@@ -948,11 +948,16 @@ class TestSizeGuard:
             (["hasse", "--family", "clan", "--p", "1000000", "--q", "1000000"],
              "error: clan (p,q)=(1000000,1000000) is above the size limit "
              "p+q <= 10000; its elements are not counted\n"),
+            # every size below 2661 is under this limit: the first one over
+            # it is found by bisection, not by counting each size in turn
+            (["verify", "--family", "inv", "--n", "10000", "--max-elements", str(10**4000)],
+             "error: involution n=2661 has about 10^4001 elements, "
+             f"above --max-elements {10**4000}\n"),
         ],
         ids=[
             "hasse-inv-30", "verify-inv-30", "verify-all-40", "hasse-clan-6-6",
             "hasse-fpf-2000", "hasse-inv-10000", "hasse-inv-300000", "hasse-inv-10^23",
-            "hasse-fpf-600000", "hasse-clan-10^6-10^6",
+            "hasse-fpf-600000", "hasse-clan-10^6-10^6", "verify-inv-10000-limit-10^4000",
         ],
     )
     def test_refused_from_the_count(self, capsys, no_build, argv, err) -> None:

@@ -41,6 +41,44 @@ def inv(n: int, *cycles: tuple[int, int]) -> Involution:
     return Involution.from_cycles(n, cycles)
 
 
+def _count_nodes(monkeypatch, construct, elements) -> dict[str, int]:
+    """Search nodes, dead ends and members of ``construct`` over ``elements``.
+
+    Nodes are the roots plus every child a step makes; a state with no child
+    has no member below it, a dead end.  Each step runs on one state at a
+    time, so both are counted per state.
+    """
+    import weakorder.wsets
+
+    search = weakorder.wsets._search
+    seen = {"nodes": 0, "dead": 0, "members": 0}
+
+    def counting(start, steps: int, level, *word):
+        def counted_level(t: int):
+            step = level(t)
+
+            def counted(states: list) -> list:
+                out = []
+                for state in states:
+                    got = step([state])
+                    seen["nodes"] += len(got)
+                    seen["dead"] += not got
+                    out += got
+                return out
+
+            return counted
+
+        words = search(start, steps, counted_level, *word)
+        seen["nodes"] += 1
+        seen["members"] += len(words)
+        return words
+
+    monkeypatch.setattr(weakorder.wsets, "_search", counting)
+    for pi in elements:
+        construct(pi)
+    return seen
+
+
 class TestWSetContainer:
     def test_rejects_unsorted_members(self) -> None:
         a, b = Permutation((2, 1, 3)), Permutation((1, 3, 2))
@@ -143,7 +181,7 @@ class TestKnownClanSets:
 
     @pytest.mark.parametrize("m", [500, 1000])
     def test_deep_clan_is_fast(self, m) -> None:
-        # m peeling steps on the explicit stack, not m nested calls; the
+        # m peeling steps, one search level each, not m nested calls; the
         # only choice at each step is the innermost +/- pair
         import time
 
@@ -232,8 +270,8 @@ class TestConditionFilters:
                 assert len(wset_involution(pi)) >= 1
 
     def test_sparse_involution_is_fast(self) -> None:
-        # one placement per block on an explicit stack: the 1498 fixed
-        # points neither recurse nor branch
+        # the 1498 fixed points neither recurse nor branch: all come after
+        # the cycle, so they share one search step and one copy of the word
         import time
 
         start = time.perf_counter()
@@ -251,7 +289,7 @@ class TestConditionFilters:
         ],
     )
     def test_long_fpf_is_fast(self, head, orders) -> None:
-        # 1000 blocks on the explicit stack, not 1000 nested calls
+        # 1000 blocks, one search level each, not 1000 nested calls
         import time
 
         tail = tuple(range(5, 2001))
@@ -266,7 +304,7 @@ class TestConditionFilters:
     def test_far_apart_cycles_are_fast(self, n: int, c: int) -> None:
         # the W-sets of (1,3) in S_3 and of (1,4) in S_4, side by side; a
         # cycle may only leave free slots on its left for blocks nested in it,
-        # and no step scans the filled slots left of its parent's first free one
+        # and no step scans the filled slots left of its state's first free one
         import time
 
         pi = inv(n, (1, 3), (c, c + 3))
@@ -283,9 +321,9 @@ class TestConditionFilters:
         assert elapsed < 2.0
 
     def test_ladder_keeps_no_table_of_earlier_cycles(self) -> None:
-        # (1,2)(3,4)...(5999,6000): each node scans the cycles before its
-        # block in place; a table of them per block would be quadratic in
-        # the cycles (about 38 MB here)
+        # (1,2)(3,4)...(5999,6000): each step lists only the earlier cycles
+        # its block needs, here the one before it; a table of earlier
+        # cycles per block would be quadratic in the cycles (about 38 MB)
         import time
         import tracemalloc
 
@@ -304,30 +342,47 @@ class TestConditionFilters:
         assert elapsed < 2.0
         assert peak < 8_000_000
 
+    @pytest.mark.parametrize(
+        "construct, pi, members, bound",
+        [
+            (wset_involution, inv(12, *((i, 13 - i) for i in range(1, 7))), 10_395, 4_000_000),
+            (wset_fpf, FpfInvolution.from_cycles(16, [(i, 17 - i) for i in range(1, 9)]),
+             40_320, 15_000_000),
+        ],
+        ids=["involution-top-S12", "fpf-top-n16"],
+    )
+    def test_search_holds_about_one_level(self, construct, pi, members, bound) -> None:
+        # each step pops the states it reads as it builds the next level;
+        # keeping both whole levels peaked at about 6.2 and 20.3 MB here
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            got = construct(pi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(got) == members
+        assert peak < bound
+
     def test_search_node_count_at_n8(self, monkeypatch) -> None:
-        # nodes are the roots plus every choice taken; a node whose choice
-        # list is empty has no member below it, a dead end
-        import weakorder.wsets
+        got = _count_nodes(monkeypatch, wset_involution, brute_involutions(8))
+        assert got == {"nodes": 18_254, "dead": 0, "members": 6_300}
 
-        search = weakorder.wsets._search
-        seen = {"nodes": 0, "dead": 0, "members": 0}
-
-        def counting(n: int, steps: int, choices):
-            def counted(t: int, word: list[int], pos: list[int]):
-                got = choices(t, word, pos)
-                seen["nodes"] += len(got)
-                seen["dead"] += not got
-                return got
-
-            words = search(n, steps, counted)
-            seen["nodes"] += 1
-            seen["members"] += len(words)
-            return words
-
-        monkeypatch.setattr(weakorder.wsets, "_search", counting)
-        for pi in brute_involutions(8):
-            wset_involution(pi)
-        assert seen == {"nodes": 25_135, "dead": 0, "members": 6_300}
+    @pytest.mark.parametrize(
+        "construct, elements, counts",
+        [
+            (wset_fpf, lambda: brute_fpf(10), (25_926, 0, 7_514)),
+            (wset_clan, lambda: [c for p in range(1, 7) for c in brute_clans(p, 7 - p)],
+             (17_836, 0, 7_242)),
+        ],
+        ids=["fpf-n10", "clan-p+q=7"],
+    )
+    def test_search_node_count_fpf_and_clans(
+        self, monkeypatch, construct, elements, counts
+    ) -> None:
+        got = _count_nodes(monkeypatch, construct, elements())
+        assert got == dict(zip(("nodes", "dead", "members"), counts))
 
     def test_cli_fpf_bottom_exits_0(self, capsys) -> None:
         from weakorder.cli import run
