@@ -267,20 +267,24 @@ def _cmd_chains(args: argparse.Namespace) -> int:
         total = count_chains_below(args.family, x)
         print(json.dumps({"element": x.text(), "count": total}) if args.json else total)
         return 0
-    P = build_lower_interval(args.family, x)
+    chains = _chain_walk(build_lower_interval(args.family, x))
     if args.json:
         # json.dumps(payload, indent=2) written row by row, as export_json does
         row = [f"      {i}" for i in range(x.n)]
-        chains = _chain_walk(P, x)
         rows = ["    " + _array([row[i] for i in labels], "    ") for labels, _ in chains]
         head = f'{{\n  "element": {json.dumps(x.text())},\n  "count": {len(rows)},\n'
         print(f'{head}  "chains": {_array(rows, "  ")}\n}}')
     else:
         # one string, as --json writes, not one print per chain
         name = [str(i) for i in range(x.n)]
-        rows = [",".join([name[i] for i in labels]) for labels, _ in _chain_walk(P, x)]
+        rows = [",".join([name[i] for i in labels]) for labels, _ in chains]
         sys.stdout.write("\n".join(rows) + "\n" if rows else "")
     return 0
+
+
+def _amount(v: int) -> str:
+    # str() refuses ints of more than 4300 digits, and no one reads them
+    return str(v) if v < 10**30 else f"about 10^{round(math.log10(v))}"
 
 
 def _check_size(family: str, param: "int | tuple[int, int]", limit: int) -> None:
@@ -293,11 +297,9 @@ def _check_size(family: str, param: "int | tuple[int, int]", limit: int) -> None
         )
     count = _family(family).count(param)
     if count > limit:
-        # str() refuses ints of more than 4300 digits, and no one reads them
-        amount = str(count) if count < 10**30 else f"about 10^{round(math.log10(count))}"
         raise ValueError(
-            f"{_describe(family, param)} has {amount} elements, "
-            f"above --max-elements {limit}"
+            f"{_describe(family, param)} has {_amount(count)} elements, "
+            f"above --max-elements {_amount(limit)}"
         )
 
 

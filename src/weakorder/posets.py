@@ -8,9 +8,10 @@ on the poset for the exports, and each cover label is classified by
 ``matchings._cover_types``, once the closure is done.
 Elements are sorted by (rank, text), so indices are stable and
 rank-monotone: every edge points from a lower index to a strictly higher
-one, and dynamic programs can sweep the element list in order.  Counting
-the chains below x needs no poset: ``count_chains_below`` walks x's word
-down one rank at a time with ``permutations._count_paths``.
+one, and dynamic programs can sweep the element list in order.  The
+chain walkers sweep ``lower_interval``, the one restriction to [bottom, x].
+Counting the chains below x needs no poset: ``count_chains_below`` walks
+x's word down one rank at a time with ``permutations._count_paths``.
 
 What differs between the three families sits in one private table,
 ``_FAMILY``, keyed by the names in ``FAMILIES``; no other code branches on a
@@ -361,33 +362,31 @@ def _assemble(
     )
 
 
-def _down_set(P: WeakOrderPoset, target: int) -> set[int]:
-    seen = {target}
+def lower_interval(P: WeakOrderPoset, x: Element) -> WeakOrderPoset:
+    """Induced subposet on everything below or equal to x; labels kept.
+
+    The one restriction of a built poset to [bottom, x].  Its last element
+    is x, as edges point up in index; its first is P's bottom unless x is
+    not above it, as in an edge-filtered copy."""
+    target = P.index_of(x)
+    keep = {target}
     stack = [target]
     while stack:
-        j = stack.pop()
-        for e in P.down[j]:
-            if e.lo not in seen:
-                seen.add(e.lo)
+        for e in P.down[stack.pop()]:
+            if e.lo not in keep:
+                keep.add(e.lo)
                 stack.append(e.lo)
-    return seen
-
-
-def lower_interval(P: WeakOrderPoset, x: Element) -> WeakOrderPoset:
-    """Induced subposet on everything below or equal to x; labels kept."""
-    keep = _down_set(P, P.index_of(x))
     order = sorted(keep)
     remap = {old: new for new, old in enumerate(order)}
-    elements = tuple(P.elements[j] for j in order)
-    ranks = tuple(P.ranks[j] for j in order)
-    texts = tuple(P.texts[j] for j in order)
-    edges = tuple(
-        Edge(remap[lo], remap[hi], labels, types)
-        for lo, hi, labels, types in P.edges
-        if lo in keep and hi in keep
-    )
+    make = tuple.__new__  # an Edge without its Python frame, as in _assemble
+    edges = tuple([
+        make(Edge, (remap[j], remap[e.hi], e.labels, e.types))
+        for j in order for e in P.up[j] if e.hi in remap
+    ])
     return WeakOrderPoset(
-        P.family, P.param, elements, ranks, edges, complete=False, texts=texts
+        P.family, P.param, tuple([P.elements[j] for j in order]),
+        tuple([P.ranks[j] for j in order]), edges, complete=False,
+        texts=tuple([P.texts[j] for j in order]),
     )
 
 
@@ -452,25 +451,21 @@ def build_lower_interval(family: str, x: Element) -> WeakOrderPoset:
         return _assemble(family, param, *_down_closure(family, x), upward=False)
 
 
-def _chain_walk(P: WeakOrderPoset, x: Element) -> Iterator[tuple[tuple[int, ...], list[int]]]:
-    """The labels of every maximal chain of [bottom, x], depth first in a fixed
-    order, each with the element indices it passes below x, bottom first.
+def _chain_walk(P: WeakOrderPoset) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """The labels of every maximal chain of the interval P up to its last
+    element, depth first in a fixed order, each with the element indices it
+    passes below the last, bottom first.
 
     The index list is the walk's own, changed by the next step: copy it to
-    keep it.  One iterator of sorted (upper index, label) moves per element
-    on the path, with no object per chain but its label tuple.
+    keep it.  One iterator of (upper index, label) moves per element on the
+    path, ``P.up`` read in edge order, which is sorted, with no object per
+    chain but its label tuple.
     """
-    target = P.index_of(x)
-    keep = _down_set(P, target)
-    if 0 not in keep:
-        return
+    target = len(P) - 1
     if target == 0:
         yield (), []
         return
-    moves = {
-        j: sorted((e.hi, lab) for e in P.up[j] if e.hi in keep for lab in e.labels)
-        for j in keep
-    }
+    moves = [[(e.hi, lab) for e in up for lab in e.labels] for up in P.up]
     labels: list[int] = []
     path = [0]
     stack = [iter(moves[0])]
@@ -492,39 +487,35 @@ def _chain_walk(P: WeakOrderPoset, x: Element) -> Iterator[tuple[tuple[int, ...]
 def maximal_chains(P: WeakOrderPoset, x: Element) -> Iterator[LabeledChain]:
     """All label-resolved maximal chains of [bottom, x], lazily, in a fixed order.
 
-    Depth-first with an explicit stack; an edge with several labels yields one
-    chain per label.  By gradedness every chain has exactly rank(x) steps.
+    Depth-first over ``lower_interval(P, x)``; an edge with several labels
+    yields one chain per label.  By gradedness every chain has rank(x) steps.
 
     >>> P = build_poset("involution", 3)
     >>> top = P.elements[-1]
     >>> [c.labels for c in maximal_chains(P, top)]
     [(1, 2), (2, 1)]
     """
-    for labels, path in _chain_walk(P, x):
-        yield LabeledChain(tuple(P.elements[j] for j in path) + (x,), labels)
+    Q = lower_interval(P, x)
+    if Q.bottom == P.bottom:
+        for labels, path in _chain_walk(Q):
+            yield LabeledChain(tuple([Q.elements[j] for j in path]) + (x,), labels)
 
 
 def count_maximal_chains(P: WeakOrderPoset, x: Element) -> int:
     """Chain count of [bottom, x] by dynamic programming over the DAG.
 
     Agrees with exhausting ``maximal_chains`` but never materializes chains;
-    counts grow factorially with rank.
+    counts grow factorially with rank.  Sweeps ``lower_interval(P, x)`` in
+    index order, a topological order: ranks only increase.
     """
-    target = P.index_of(x)
-    keep = _down_set(P, target)
-    if 0 not in keep:
+    Q = lower_interval(P, x)
+    if Q.bottom != P.bottom:
         return 0
-    counts = {j: 0 for j in keep}
-    counts[0] = 1
-    # ascending index order is a topological order: ranks only increase
-    for j in sorted(keep):
-        c = counts[j]
-        if c == 0:
-            continue
-        for e in P.up[j]:
-            if e.hi in keep:
-                counts[e.hi] += c * len(e.labels)
-    return counts[target]
+    counts = [1] + [0] * (len(Q) - 1)
+    for c, up in zip(counts, Q.up):
+        for e in up:
+            counts[e.hi] += c * len(e.labels)
+    return counts[-1]
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,8 @@ rejects a repeat.  ``posets.wset_direct`` picks the family's construction.
 ``wset_oracle`` computes the same sets by brute force over labeled chains,
 and the tests certify that each direct construction agrees with it.
 ``verify`` compares one sweep's words, ``oracle_words``, with the validated
-direct members, so an agreeing W-set is validated once.
+direct members, so an agreeing W-set is validated once.  Both it and
+``wset_oracle`` read ``_chain_products``, a stream holding about two ranks.
 
 >>> pi = Involution.from_cycles(4, [(1, 4), (2, 3)])
 >>> [w.as_text(compact=True) for w in wset_involution(pi).members]
@@ -353,25 +354,26 @@ def wset_clan(pi: Clan) -> WSet:
     return _collect(pi, rank_clan(pi), words)
 
 
-def _chain_products(P: WeakOrderPoset) -> "list[set[tuple[int, ...]]]":
-    """Chain products for every element of P at once, in element order.
+def _chain_products(P: WeakOrderPoset) -> Iterator[set[tuple[int, ...]]]:
+    """Chain products for every element of P, a stream in element order.
 
     One upward sweep in index order (a topological order, the bottom
     first): the products of an element extend those of each lower neighbor
-    by one letter per label.  The letter s_i acts on the left, so it swaps
-    the values i and i+1 of the one-line word.
+    by one letter per label, so they are whole when the sweep reaches it
+    and are dropped as they are yielded.  The letter s_i acts on the left,
+    so it swaps the values i and i+1 of the one-line word.
     """
-    products: list[set[tuple[int, ...]]] = [set() for _ in P.elements]
-    products[0].add(tuple(range(1, P.bottom.n + 1)))
-    for j, got in enumerate(products):
-        for e in P.up[j]:
-            target = products[e.hi]
+    products = {0: {tuple(range(1, P.bottom.n + 1))}}
+    for j, up in enumerate(P.up):
+        got = products.pop(j, set())
+        for e in up:
+            target = products.setdefault(e.hi, set())
             for i in e.labels:
                 for w in got:
                     u = list(w)
                     u[w.index(i)], u[w.index(i + 1)] = i + 1, i
                     target.add(tuple(u))
-    return products
+        yield got
 
 
 def oracle_words(P: WeakOrderPoset) -> Iterator[list[tuple[int, ...]]]:
@@ -384,9 +386,8 @@ def wset_oracle(P: WeakOrderPoset, x: Element) -> WSet:
     """Brute-force W-set of x: all products over labeled maximal chains.
 
     Certifies the direct constructions.  Every product comes out at length
-    rank(x), which ``WSet`` checks, so no length filtering happens.  Each
-    call sweeps the whole of P, so a loop over every element should read
-    ``oracle_words(P)`` once instead, as ``verify`` does.
+    rank(x), which ``WSet`` checks, so no length filtering happens.  The
+    sweep stops at x, as elements after x are not below it.
     """
     j = P.index_of(x)
-    return _collect(x, P.ranks[j], _chain_products(P)[j])
+    return _collect(x, P.ranks[j], next(itertools.islice(_chain_products(P), j, None)))

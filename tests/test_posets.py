@@ -25,6 +25,7 @@ from weakorder import (
     maximal_chains,
     rs_step_involution,
     verify_graded,
+    wset_oracle,
 )
 
 
@@ -247,6 +248,19 @@ class TestChains:
             Q = lower_interval(P, x)
             assert count_maximal_chains(Q, x) == count_maximal_chains(P, x)
 
+    def test_nothing_reaches_x_from_a_bottom_cut_off(self) -> None:
+        # without attach covers no edge leaves the identity, so no x above
+        # it has a chain from the bottom, and the bottom has its empty one
+        Q = drop_cover_types(build_poset("involution", 4), {CoverType.II})
+        for x in Q.elements[1:]:
+            assert lower_interval(Q, x).bottom != Q.bottom
+            assert count_maximal_chains(Q, x) == 0
+            assert list(maximal_chains(Q, x)) == []
+            assert len(wset_oracle(Q, x)) == 0
+        assert [c.labels for c in maximal_chains(Q, Q.bottom)] == [()]
+        assert count_maximal_chains(Q, Q.bottom) == 1
+        assert len(wset_oracle(Q, Q.bottom)) == 1
+
 
 class TestGradedness:
     def test_reports_are_clean(self) -> None:
@@ -344,6 +358,12 @@ class TestLayout:
         for e in P.edges:
             w = P.elements[e.lo].word
             assert e.types == tuple(weakorder.matchings._cover_type(w, i) for i in e.labels)
+
+    @pytest.mark.parametrize("family, param", _SIZES)
+    def test_lower_interval_ends_at_x(self, family, param) -> None:
+        P = build_poset(family, param)
+        for x in P.elements:
+            assert lower_interval(P, x).elements[-1] == x
 
     def test_edge_fields_and_tuple_api(self) -> None:
         assert weakorder.posets.Edge._fields == ("lo", "hi", "labels", "types")

@@ -365,6 +365,25 @@ class TestConditionFilters:
         assert len(got) == members
         assert peak < bound
 
+    def test_oracle_sweep_holds_about_two_ranks(self) -> None:
+        # each element's products are dropped as they are yielded; keeping
+        # every element's until the sweep ended peaked at about 6.7 MB here
+        import tracemalloc
+
+        from weakorder.wsets import oracle_words
+
+        P = build_poset("involution", 9)
+        members = 0
+        tracemalloc.start()
+        try:
+            for words in oracle_words(P):
+                members += len(words)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert members == 36_083
+        assert peak < 2_000_000
+
     def test_search_node_count_at_n8(self, monkeypatch) -> None:
         got = _count_nodes(monkeypatch, wset_involution, brute_involutions(8))
         assert got == {"nodes": 18_254, "dead": 0, "members": 6_300}
