@@ -6,8 +6,10 @@ Subcommands:
 - ``chains``: enumerate (or just count) the labeled maximal chains from the
   bottom element up to a given element, exploring only that interval;
 - ``hasse``: print a whole poset as DOT (default) or JSON;
-- ``verify``: rebuild every poset up to a size cap, check gradedness, and
-  check that the direct W-set of every element agrees with the chain oracle;
+- ``verify``: walk every poset up to a size cap rank by rank from its
+  bottom's word, building none; check each element's rank formula, its
+  direct W-set against its chain products, and each poset's element count
+  (a unique bottom and unit rank steps hold by construction of the walk);
 - ``rank``: print the rank of an element.
 
 Element grammar: a sequence of cycles "(a,b)" and, for clans, signed
@@ -32,21 +34,22 @@ from bisect import bisect_left
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 
-from .matchings import CoverType
+from . import wsets
+from .matchings import CoverType, _cover_types
 from .posets import (
     FAMILIES,
     Element,
     WeakOrderPoset,
     _chain_walk,
+    _Family,
     _family,
+    _gc_paused,
     _named,
     build_lower_interval,
     build_poset,
     count_chains_below,
-    verify_graded,
     wset_direct,
 )
-from .wsets import _collect, oracle_words
 
 _II = CoverType.II
 
@@ -362,38 +365,54 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"--family {args.family} --n {args.n} leaves nothing to verify")
     failures: list[str] = []
     results = []
-    for fam, param in jobs:
-        P = build_poset(fam, param)
-        report = verify_graded(P)
-        for v in report.violations:
-            failures.append(f"{_describe(fam, param)}: {v}")
-        agree = 0
-        for x, rank, words in zip(P.elements, P.ranks, oracle_words(P)):
-            direct = wset_direct(fam, x).members
-            # words equal to the validated direct members pass every check
-            # of WSet, so the oracle's WSet is built only on a difference
-            if words == [w.word for w in direct]:
-                agree += 1
-                continue
-            oracle = _collect(x, rank, words).members
-            failures.append(
-                f"{_describe(fam, param)}: W-set mismatch at {x.text()}: "
-                f"{_only(direct, oracle, 'direct')}, {_only(oracle, direct, 'oracle')}"
+    for name, param in jobs:
+        fam, head = _family(name), _describe(name, param)
+        bottom = fam.bottom(**_named(name, param)).word
+
+        def moves(w: tuple[int, ...], fam: _Family = fam) -> list:
+            got = fam.up(w)
+            if fam.forbidden:  # RuntimeError on a cover of a kind the family has none of
+                _cover_types(fam.forbidden, w, got)
+            return got
+
+        elements = edges = agree = 0
+        ranks, mismatches, count = [], [], fam.count(param)
+        with _gc_paused():
+            for w, depth, products, got in wsets._chain_products(bottom, moves, len(bottom)):
+                if elements > count:  # a move down would re-enter words forever
+                    break
+                x = fam.element(w)
+                direct = fam.wset(x)
+                elements += 1
+                edges += len({v for _, v in got})
+                if direct.rank != depth:
+                    ranks.append((depth, x, direct.rank))
+                # products equal to the validated direct members pass every
+                # check of WSet, so the oracle's WSet is built only on a difference
+                if products == {m.word for m in direct.members}:
+                    agree += 1
+                else:
+                    mismatches.append((depth, x, direct, products))
+        # the few failures, ranks, the count, then W-sets, in (rank, text) order
+        bad = [
+            f"rank of {x.text()}: stored {depth}, formula gives {want}"
+            for depth, x, want in sorted(ranks, key=lambda f: (f[0], f[1].text()))
+        ]
+        if elements != count:
+            bad.append(f"{elements} elements, closed form gives {count}")
+        for depth, x, direct, products in sorted(mismatches, key=lambda f: (f[0], f[1].text())):
+            oracle = wsets._collect(x, depth, products).members
+            bad.append(
+                f"W-set mismatch at {x.text()}: {_only(direct.members, oracle, 'direct')}, "
+                f"{_only(oracle, direct.members, 'oracle')}"
             )
-        ok = report.ok and agree == len(P.elements)
-        results.append({
-            "family": fam,
-            "params": _named(fam, param),
-            "elements": len(P.elements),
-            "edges": len(P.edges),
-            "agree": agree,
-            "ok": ok,
-        })
+        failures += [f"{head}: {line}" for line in bad]
+        job = dict(elements=elements, edges=edges, agree=agree, ok=not bad)
+        results.append({"family": name, "params": _named(name, param), **job})
         if not args.json:
             print(
-                f"{_describe(fam, param)}: {len(P.elements)} elements, "
-                f"{len(P.edges)} edges, {agree}/{len(P.elements)} W-sets agree "
-                f"[{'ok' if ok else 'FAIL'}]"
+                f"{head}: {elements} elements, {edges} edges, {agree}/{elements} "
+                f"W-sets agree [{'ok' if not bad else 'FAIL'}]"
             )
     if args.json:
         print(json.dumps({"jobs": results, "failures": failures}, indent=2))

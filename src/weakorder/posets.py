@@ -28,8 +28,7 @@ widens the set of chains without widening the Hasse diagram.
 
 Ranks are the closure's breadth-first depth (below x: rank(x) minus it);
 ``verify_graded`` cross-checks them against the closed-form rank of every
-element, which is itself a statement worth testing rather than an
-implementation detail.
+element, for the tests, as ``verify`` walks the words with no poset built.
 
 >>> P = build_poset("involution", 4)
 >>> len(P.elements), len(P.edges)
@@ -539,7 +538,9 @@ def verify_graded(P: WeakOrderPoset) -> GradedReport:
     Verifies that the stored breadth-first depth equals the closed-form rank
     of every element, that every edge raises rank by exactly 1, that the
     bottom is the unique minimum at rank 0, and, for complete posets, that
-    the element count matches the closed-form family count.
+    the element count matches the closed-form family count.  The tests call
+    it on built and corrupted posets; the CLI's ``verify`` makes the same
+    checks on its walk from the bottom's word.
     """
     bad: list[str] = []
     for j, e in enumerate(P.elements):

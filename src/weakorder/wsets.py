@@ -25,10 +25,10 @@ once, so none deduplicates.  ``_collect`` turns each member into a
 ``Permutation`` once, and ``WSet`` checks each member's length once and
 rejects a repeat.  ``posets.wset_direct`` picks the family's construction.
 ``wset_oracle`` computes the same sets by brute force over labeled chains,
-and the tests certify that each direct construction agrees with it.
-``verify`` compares one sweep's words, ``oracle_words``, with the validated
-direct members, so an agreeing W-set is validated once.  Both it and
-``wset_oracle`` read ``_chain_products``, a stream holding about two ranks.
+and the tests certify that each direct construction agrees with it.  The
+chain products come from one sweep holding two ranks, ``_chain_products``:
+``verify`` runs it on words, from the bottom's, and validates an agreeing
+W-set once, on the direct side; ``wset_oracle`` runs it on a poset's indices.
 
 >>> pi = Involution.from_cycles(4, [(1, 4), (2, 3)])
 >>> [w.as_text(compact=True) for w in wset_involution(pi).members]
@@ -40,7 +40,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator
 
 from .involutions import (
     Clan,
@@ -62,7 +62,6 @@ __all__ = [
     "wset_fpf",
     "wset_clan",
     "wstar",
-    "oracle_words",
     "wset_oracle",
 ]
 
@@ -354,32 +353,30 @@ def wset_clan(pi: Clan) -> WSet:
     return _collect(pi, rank_clan(pi), words)
 
 
-def _chain_products(P: WeakOrderPoset) -> Iterator[set[tuple[int, ...]]]:
-    """Chain products for every element of P, a stream in element order.
+def _chain_products(start: Hashable, moves: Callable, n: int) -> Iterator[tuple]:
+    """(node, depth, chain products, moves) of every node reached from
+    ``start``, rank by rank; ``moves(node)`` lists (label, next node).
 
-    One upward sweep in index order (a topological order, the bottom
-    first): the products of an element extend those of each lower neighbor
-    by one letter per label, so they are whole when the sweep reaches it
-    and are dropped as they are yielded.  The letter s_i acts on the left,
-    so it swaps the values i and i+1 of the one-line word.
+    A node's products extend those one rank below it by one letter per
+    label, whole when its rank is reached in a graded order; a move that
+    skips a rank re-enters its node at another depth.  Two ranks are held,
+    each a dict from node to products, a node dropped as it is yielded.
+    The letter s_i acts on the left: it swaps the values i and i+1.
     """
-    products = {0: {tuple(range(1, P.bottom.n + 1))}}
-    for j, up in enumerate(P.up):
-        got = products.pop(j, set())
-        for e in up:
-            target = products.setdefault(e.hi, set())
-            for i in e.labels:
+    rank, depth = {start: {tuple(range(1, n + 1))}}, 0
+    while rank:
+        nxt: dict[Hashable, set[tuple[int, ...]]] = {}
+        while rank:
+            node, got = rank.popitem()
+            out = moves(node)
+            for i, v in out:
+                target = nxt.setdefault(v, set())
                 for w in got:
                     u = list(w)
                     u[w.index(i)], u[w.index(i + 1)] = i + 1, i
                     target.add(tuple(u))
-        yield got
-
-
-def oracle_words(P: WeakOrderPoset) -> Iterator[list[tuple[int, ...]]]:
-    """Every element's chain products as sorted words, in element order, from
-    one sweep of P: what ``verify`` compares.  Each is sorted as it is read."""
-    return map(sorted, _chain_products(P))
+            yield node, depth, got, out
+        rank, depth = nxt, depth + 1
 
 
 def wset_oracle(P: WeakOrderPoset, x: Element) -> WSet:
@@ -387,7 +384,9 @@ def wset_oracle(P: WeakOrderPoset, x: Element) -> WSet:
 
     Certifies the direct constructions.  Every product comes out at length
     rank(x), which ``WSet`` checks, so no length filtering happens.  The
-    sweep stops at x, as elements after x are not below it.
+    sweep runs over P's indices, its moves read off ``P.up``, and stops at
+    x; an x it does not reach, as in an edge-filtered copy, has no products.
     """
-    j = P.index_of(x)
-    return _collect(x, P.ranks[j], next(itertools.islice(_chain_products(P), j, None)))
+    j, up = P.index_of(x), P.up
+    sweep = _chain_products(0, lambda k: [(i, e.hi) for e in up[k] for i in e.labels], P.bottom.n)
+    return _collect(x, P.ranks[j], next((got for k, _, got, _ in sweep if k == j), ()))

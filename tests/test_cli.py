@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import time
 
 import pytest
@@ -764,15 +765,18 @@ class TestRunVerify:
         )
         assert got == want
 
-    # faults go in at wsets._chain_products, the oracle's products that both
-    # verify's comparison and wset_oracle read; each fault returns modified
+    # faults go in at wsets._chain_products, the product sweep that both
+    # verify's comparison and wset_oracle run; each fault yields modified
     # copies of the real sweep's products
 
     def test_json_reports_failures(self, capsys, monkeypatch) -> None:
         import weakorder.wsets
 
+        real = weakorder.wsets._chain_products
         monkeypatch.setattr(
-            weakorder.wsets, "_chain_products", lambda P: [set() for _ in P.elements]
+            weakorder.wsets,
+            "_chain_products",
+            lambda *args: ((w, d, set(), got) for w, d, _, got in real(*args)),
         )
         assert run(["verify", "--family", "fpf", "--n", "4", "--json"]) == 1
         captured = capsys.readouterr()
@@ -788,8 +792,9 @@ class TestRunVerify:
 
         real = weakorder.wsets._chain_products
 
-        def drop_one(P):
-            return [set(sorted(words)[1:]) for words in real(P)]
+        def drop_one(*args):
+            for w, depth, products, got in real(*args):
+                yield w, depth, set(sorted(products)[1:]), got
 
         monkeypatch.setattr(weakorder.wsets, "_chain_products", drop_one)
         assert run(["verify", "--family", "inv", "--n", "4"]) == 1
@@ -800,25 +805,26 @@ class TestRunVerify:
         ) in err
 
     def test_one_sweep_per_job(self, capsys, monkeypatch) -> None:
-        # verify sweeps each poset's chain products once, passing or failing;
-        # a per-element oracle lookup would count once per element, and once
-        # more per element that disagrees
+        # verify sweeps each family's chain products once, passing or
+        # failing; a per-element oracle lookup would count once per element,
+        # and once more per element that disagrees
         import weakorder.wsets
 
         real, calls = weakorder.wsets._chain_products, []
 
-        def counted(P):
-            calls.append(P)
-            return real(P)
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
 
         monkeypatch.setattr(weakorder.wsets, "_chain_products", counted)
         assert run(["verify", "--family", "all", "--n", "5", "--json"]) == 0
         jobs = json.loads(capsys.readouterr().out)["jobs"]
         assert len(calls) == len(jobs) == 17
 
-        def drop_one(P):
-            calls.append(P)
-            return [set(sorted(words)[1:]) for words in real(P)]
+        def drop_one(*args):
+            calls.append(args)
+            for w, depth, products, got in real(*args):
+                yield w, depth, set(sorted(products)[1:]), got
 
         calls.clear()
         monkeypatch.setattr(weakorder.wsets, "_chain_products", drop_one)
@@ -858,11 +864,11 @@ class TestRunVerify:
 
         real = weakorder.wsets._chain_products
 
-        def swap_one(P):
-            products = list(real(P))
-            if len(products) > 1:
-                products[-1] = set(sorted(products[-1])[1:]) | {bad(P.bottom.n)}
-            return products
+        def swap_one(start, moves, n):
+            for w, depth, products, got in real(start, moves, n):
+                if depth and not got:  # the top of a poset of more than one element
+                    products = set(sorted(products)[1:]) | {bad(n)}
+                yield w, depth, products, got
 
         monkeypatch.setattr(weakorder.wsets, "_chain_products", swap_one)
         assert run(["verify", "--family", "fpf", "--n", "4"]) == 2
@@ -870,20 +876,108 @@ class TestRunVerify:
         assert captured.out == "fpf n=2: 1 elements, 0 edges, 1/1 W-sets agree [ok]\n"
         assert captured.err == err
 
+    def test_builds_no_poset(self, capsys, monkeypatch) -> None:
+        import weakorder.cli
+        import weakorder.posets
+
+        def refuse(*args):
+            raise AssertionError("verify built or graded a poset")
+
+        for name in ("build_poset", "verify_graded"):
+            monkeypatch.setattr(weakorder.posets, name, refuse)
+        monkeypatch.setattr(weakorder.cli, "build_poset", refuse)
+        assert run(["verify", "--n", "6"]) == 0
+        assert capsys.readouterr().out.count("[ok]") == 6 + 3 + 15
+
+    # faults go in at a family's up column of posets._FAMILY, the moves the
+    # walk from the bottom's word takes
+
+    @staticmethod
+    def _patch_up(monkeypatch, family: str, extra) -> None:
+        import dataclasses
+
+        import weakorder.posets
+
+        fam = weakorder.posets._FAMILY[family]
+        up = fam.up
+        faulty = dataclasses.replace(fam, up=lambda w: up(w) + extra(w))
+        monkeypatch.setitem(weakorder.posets._FAMILY, family, faulty)
+
+    @pytest.mark.parametrize(
+        "target, line",
+        [
+            ((3, 2, 1, 4), "rank of (1,3): stored 1, formula gives 2"),
+            ((4, 2, 3, 1), "rank of (1,4): stored 1, formula gives 3"),
+            ((4, 3, 2, 1), "rank of (1,4)(2,3): stored 1, formula gives 4"),
+            ((2, 1, 4, 3), "rank of (1,2)(3,4): stored 1, formula gives 2"),
+        ],
+        ids=["(1,3)", "(1,4)", "(1,4)(2,3)", "(1,2)(3,4)"],
+    )
+    def test_move_skipping_a_rank_fails_the_rank_formula(
+        self, capsys, monkeypatch, target, line
+    ) -> None:
+        # the bottom of S_4 also moves straight to target, above rank 1: the
+        # walk enters target one rank early and again at its own rank
+        self._patch_up(
+            monkeypatch, "involution", lambda w: [(1, target)] if w == (1, 2, 3, 4) else []
+        )
+        assert run(["verify", "--family", "inv", "--n", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1].endswith("[FAIL]")
+        assert f"verification failure: involution n=4: {line}\n" in captured.err
+        assert "involution n=4: 11 elements, closed form gives 10\n" in captured.err
+
+    def test_move_back_down_ends(self, capsys, monkeypatch) -> None:
+        # (1,4)(2,3) moves back to the bottom: a cycle, walked until it has
+        # re-entered more words than the closed form counts
+        self._patch_up(
+            monkeypatch, "involution", lambda w: [(2, (1, 2, 3, 4))] if w == (1, 4, 3, 2) else []
+        )
+        assert run(["verify", "--family", "inv", "--n", "4"]) in (1, 2)
+        assert capsys.readouterr().err
+
+    def test_forbidden_fpf_cover_raises(self, monkeypatch) -> None:
+        # a move along the strand {i, i+1}: a type II cover, which no fpf
+        # element has; the error is the one build_poset raises
+        self._patch_up(
+            monkeypatch, "fpf", lambda w: [(i, w) for i in range(1, len(w)) if w[i - 1] == i + 1]
+        )
+        error = "forbidden cover of (1,2) along 1 has type II"
+        with pytest.raises(RuntimeError, match=re.escape(error)):
+            run(["verify", "--family", "fpf", "--n", "4"])
+
+    def test_traced_peak_at_involution_n9(self, capsys) -> None:
+        # two ranks of words and products are held, no poset: building each
+        # poset first peaked at 5.97 MB here
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            assert run(["verify", "--family", "inv", "--n", "9"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().out.count("[ok]") == 9
+        assert peak < 3_000_000
+
     def test_converts_and_measures_each_member_once(self, monkeypatch) -> None:
         # the sibling of test_oracle_converts_and_measures_each_member_once:
         # an agreeing W-set is validated once, on the direct side.  Only
-        # conversions made in wsets count; the rank reads its own elsewhere
+        # conversions made in wsets count; the rank reads its own elsewhere.
+        # verify visits the elements in the order of its product sweep
         import sys
 
         import weakorder.wsets
-        from weakorder import Permutation, wset_direct
+        from weakorder import Involution, Permutation, bottom_element, wset_direct
+        from weakorder.posets import _FAMILY
 
         members = [
             w
             for n in range(1, 6)
-            for x in build_poset("involution", n).elements
-            for w in wset_direct("involution", x).members
+            for word, *_ in weakorder.wsets._chain_products(
+                bottom_element("involution", n).word, _FAMILY["involution"].up, n
+            )
+            for w in wset_direct("involution", Involution(word)).members
         ]
         lengths, conversions = [], []
         measure, convert = weakorder.wsets.length, Permutation.__post_init__
@@ -916,7 +1010,11 @@ class TestSizeGuard:
         def refuse(family, param):
             raise AssertionError(f"build_poset({family!r}, {param!r}) called")
 
+        def no_sweep(start, moves, n):
+            raise AssertionError(f"product sweep from {start!r} called")
+
         monkeypatch.setattr(weakorder.cli, "build_poset", refuse)
+        monkeypatch.setattr(weakorder.wsets, "_chain_products", no_sweep)
 
     @pytest.mark.parametrize(
         "argv, err",

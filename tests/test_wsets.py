@@ -370,14 +370,18 @@ class TestConditionFilters:
         # every element's until the sweep ended peaked at about 6.7 MB here
         import tracemalloc
 
-        from weakorder.wsets import oracle_words
+        from weakorder.wsets import _chain_products
 
         P = build_poset("involution", 9)
+
+        def moves(k: int) -> list[tuple[int, int]]:
+            return [(i, e.hi) for e in P.up[k] for i in e.labels]
+
         members = 0
         tracemalloc.start()
         try:
-            for words in oracle_words(P):
-                members += len(words)
+            for _, _, products, _ in _chain_products(0, moves, 9):
+                members += len(products)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -436,6 +440,32 @@ class TestOracleAgreement:
                     for c in maximal_chains(P, x)
                 }
                 assert set(wset_oracle(P, x).members) == by_chain
+
+    @pytest.mark.parametrize(
+        "family, param",
+        [("involution", n) for n in range(1, 7)]
+        + [("fpf", n) for n in (2, 4, 6, 8)]
+        + [("clan", (p, total - p)) for total in range(2, 7) for p in range(1, total)],
+        ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else str(v),
+    )
+    def test_sweep_from_the_bottom_word_matches_the_built_poset(self, family, param) -> None:
+        # what verify walks, with no poset built: each word once, at its
+        # rank, with the built poset's edges and chain products
+        from weakorder.posets import _FAMILY
+        from weakorder.wsets import _chain_products
+
+        fam, P = _FAMILY[family], build_poset(family, param)
+        bottom = P.bottom.word
+        words, edges = [], 0
+        for w, depth, products, moves in _chain_products(bottom, fam.up, len(bottom)):
+            x = fam.element(w)
+            words.append(w)
+            edges += len({v for _, v in moves})
+            assert depth == P.rank_of(x)
+            assert sorted(products) == [m.word for m in wset_oracle(P, x).members]
+        assert len(words) == len(set(words)) == len(P)
+        assert set(words) == {x.word for x in P.elements}
+        assert edges == len(P.edges)
 
     def test_chain_count_identity(self) -> None:
         for family, param in [("involution", 4), ("fpf", 6), ("clan", (2, 2))]:
