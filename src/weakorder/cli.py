@@ -36,6 +36,7 @@ from operator import attrgetter
 
 from . import wsets
 from .matchings import CoverType, _cover_types
+from .permutations import _word_text
 from .posets import (
     FAMILIES,
     Element,
@@ -251,7 +252,7 @@ def _cmd_wset(args: argparse.Namespace) -> int:
     if args.json:
         # json.dumps(payload, indent=2) written row by row, as export_json does
         row = [f"      {v}" for v in range(x.n + 1)]
-        rows = ["    " + _array([row[v] for v in w.word], "    ") for w in ws.members]
+        rows = ["    " + _array([row[v] for v in w], "    ") for w in ws.words]
         print(
             f'{{\n  "family": {json.dumps(args.family)},\n'
             f'  "element": {json.dumps(x.text())},\n  "rank": {ws.rank},\n'
@@ -259,7 +260,7 @@ def _cmd_wset(args: argparse.Namespace) -> int:
         )
     else:
         # one string, as --json writes, not one print per member
-        rows = [f"{w.as_text(compact=args.compact)}\n" for w in ws.members]
+        rows = [f"{_word_text(w, args.compact)}\n" for w in ws.words]
         sys.stdout.write("".join(rows))
     return 0
 
@@ -325,10 +326,10 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 
 def _only(mine: tuple, theirs: tuple, side: str) -> str:
-    """How many W-set members only this side has, and up to five of them."""
+    """How many W-set words only this side has, and up to five of them."""
     other = set(theirs)
     only = [w for w in mine if w not in other]
-    shown = " ".join(w.as_text() for w in only[:5]) + (" ..." if len(only) > 5 else "")
+    shown = " ".join(map(_word_text, only[:5])) + (" ..." if len(only) > 5 else "")
     return f"{len(only)} only {side}" + (f" ({shown})" if only else "")
 
 
@@ -387,9 +388,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 edges += len({v for _, v in got})
                 if direct.rank != depth:
                     ranks.append((depth, x, direct.rank))
-                # products equal to the validated direct members pass every
+                # products equal to the validated direct words pass every
                 # check of WSet, so the oracle's WSet is built only on a difference
-                if products == {m.word for m in direct.members}:
+                if products == set(direct.words):
                     agree += 1
                 else:
                     mismatches.append((depth, x, direct, products))
@@ -401,10 +402,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if elements != count:
             bad.append(f"{elements} elements, closed form gives {count}")
         for depth, x, direct, products in sorted(mismatches, key=lambda f: (f[0], f[1].text())):
-            oracle = wsets._collect(x, depth, products).members
+            oracle = wsets._collect(x, depth, products).words
             bad.append(
-                f"W-set mismatch at {x.text()}: {_only(direct.members, oracle, 'direct')}, "
-                f"{_only(oracle, direct.members, 'oracle')}"
+                f"W-set mismatch at {x.text()}: {_only(direct.words, oracle, 'direct')}, "
+                f"{_only(oracle, direct.words, 'oracle')}"
             )
         failures += [f"{head}: {line}" for line in bad]
         job = dict(elements=elements, edges=edges, agree=agree, ok=not bad)

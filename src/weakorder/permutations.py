@@ -114,9 +114,7 @@ class Permutation:
 
     def as_text(self, compact: bool = False) -> str:
         """Canonical "[3,2,4,1]" form; digit form when compact and n <= 9."""
-        if compact and self.n <= 9:
-            return "".join(str(v) for v in self.word)
-        return "[" + ",".join(str(v) for v in self.word) + "]"
+        return _word_text(self.word, compact)
 
     def __str__(self) -> str:
         return self.as_text()
@@ -184,6 +182,28 @@ def _inversions(word: Iterable[int]) -> int:
         inversions += (seen >> v).bit_count()
         seen |= 1 << v
     return inversions
+
+
+def _permutation_inversions(word: Word, n: int) -> int:
+    """``_inversions``, in a pass that checks the word is a permutation of 1..n:
+    n values, each in range before it is shifted, whose mask is bits 1..n."""
+    seen = inversions = 0
+    for v in word:
+        if not 0 < v <= n:
+            break
+        inversions += (seen >> v).bit_count()
+        seen |= 1 << v
+    else:
+        if len(word) == n and seen == (1 << n + 1) - 2:
+            return inversions
+    raise ValueError(f"not a permutation of 1..{n}: {word}")
+
+
+def _word_text(word: Word, compact: bool = False) -> str:
+    """Canonical "[3,2,4,1]" form of a word; digit form when compact and n <= 9."""
+    if compact and len(word) <= 9:
+        return "".join(map(str, word))
+    return "[" + ",".join(map(str, word)) + "]"
 
 
 def left_descents(u: Permutation) -> set[int]:

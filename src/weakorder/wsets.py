@@ -21,14 +21,14 @@ Each family also admits a direct construction that never touches the poset:
 
 All three run on one level-wise search, ``_search``, after one set-up pass
 over the element's word; its states are tuples.  Each reaches every member
-once, so none deduplicates.  ``_collect`` turns each member into a
-``Permutation`` once, and ``WSet`` checks each member's length once and
-rejects a repeat.  ``posets.wset_direct`` picks the family's construction.
+once, so none deduplicates.  ``WSet`` holds the sorted one-line words and
+checks each once, in one pass, and rejects a repeat; ``members`` builds the
+``Permutation``s when read.  ``posets.wset_direct`` picks the construction.
 ``wset_oracle`` computes the same sets by brute force over labeled chains,
 and the tests certify that each direct construction agrees with it.  The
 chain products come from one sweep holding two ranks, ``_chain_products``:
-``verify`` runs it on words, from the bottom's, and validates an agreeing
-W-set once, on the direct side; ``wset_oracle`` runs it on a poset's indices.
+``verify`` runs it on words, from the bottom's, and checks an agreeing
+W-set's words once, on the direct side; ``wset_oracle`` runs it on indices.
 
 >>> pi = Involution.from_cycles(4, [(1, 4), (2, 3)])
 >>> [w.as_text(compact=True) for w in wset_involution(pi).members]
@@ -39,7 +39,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import cached_property
+from operator import itemgetter, lt
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator
 
 from .involutions import (
@@ -50,7 +51,7 @@ from .involutions import (
     rank_fpf,
     rank_involution,
 )
-from .permutations import Permutation, length
+from .permutations import Permutation, Word, _permutation_inversions, _word_text
 
 if TYPE_CHECKING:
     from .posets import Element, WeakOrderPoset
@@ -68,37 +69,43 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WSet:
-    """The W-set of one element: members sorted by one-line word.
+    """The W-set of one element: its members' one-line words, sorted.
 
-    Every member has length equal to the element's rank; that equality is
-    what makes the chains below the element exactly the reduced words of
-    the members.
+    Each is a permutation of 1..n, n the element's, of length the rank,
+    both checked in one pass; that equality makes the chains below the
+    element exactly the reduced words of the members.
     """
 
     element: Element
     rank: int
-    members: tuple[Permutation, ...]
+    words: tuple[Word, ...]
 
     def __post_init__(self) -> None:
-        for w in self.members:
-            got = length(w)
-            if got != self.rank:
-                raise ValueError(
-                    f"member {w} of {self.element.text()} has length {got},"
-                    f" expected the rank {self.rank}"
-                )
+        n, rank, words = self.element.n, self.rank, self.words
+        # every word is checked as a permutation before a length is reported
+        wrong = [(w, got) for w in words if (got := _permutation_inversions(w, n)) != rank]
+        if wrong:
+            w, got = wrong[0]
+            raise ValueError(
+                f"member {_word_text(w)} of {self.element.text()} has length {got},"
+                f" expected the rank {rank}"
+            )
         # strictly increasing is exactly sorted and duplicate-free
-        members = self.members
-        if any(u.word >= v.word for u, v in zip(members, members[1:])):
+        if not all(map(lt, words, words[1:])):
             raise ValueError("members must be duplicate-free and sorted by word")
 
+    @cached_property
+    def members(self) -> tuple[Permutation, ...]:
+        """The members as ``Permutation``s, built on first read."""
+        return tuple(map(Permutation, self.words))
+
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.words)
 
 
-def _collect(element: Element, rank: int, words: Iterable[tuple[int, ...]]) -> WSet:
-    # tuples sort as the one-line words do; each member is validated once here
-    return WSet(element, rank, tuple(map(Permutation, sorted(words))))
+def _collect(element: Element, rank: int, words: Iterable[Word]) -> WSet:
+    """The ``WSet`` of the words; tuples sort as the one-line words do."""
+    return WSet(element, rank, tuple(sorted(words)))
 
 
 def _search(start: tuple, steps: int, level: Callable, word: Callable = itemgetter(0)) -> list:

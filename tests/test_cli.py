@@ -960,11 +960,12 @@ class TestRunVerify:
         assert capsys.readouterr().out.count("[ok]") == 9
         assert peak < 3_000_000
 
-    def test_converts_and_measures_each_member_once(self, monkeypatch) -> None:
-        # the sibling of test_oracle_converts_and_measures_each_member_once:
-        # an agreeing W-set is validated once, on the direct side.  Only
-        # conversions made in wsets count; the rank reads its own elsewhere.
-        # verify visits the elements in the order of its product sweep
+    def test_checks_each_member_once_in_order(self, monkeypatch) -> None:
+        # the sibling of test_oracle_checks_each_member_once_in_order: an
+        # agreeing W-set is checked once, on the direct side, in word order,
+        # and wsets builds no Permutation for it.  Only conversions made in
+        # wsets count.  verify visits the elements in the order of its
+        # product sweep
         import sys
 
         import weakorder.wsets
@@ -977,14 +978,14 @@ class TestRunVerify:
             for word, *_ in weakorder.wsets._chain_products(
                 bottom_element("involution", n).word, _FAMILY["involution"].up, n
             )
-            for w in wset_direct("involution", Involution(word)).members
+            for w in wset_direct("involution", Involution(word)).words
         ]
-        lengths, conversions = [], []
-        measure, convert = weakorder.wsets.length, Permutation.__post_init__
+        checked, conversions = [], []
+        check, convert = weakorder.wsets._permutation_inversions, Permutation.__post_init__
 
-        def counted_length(w: Permutation) -> int:
-            lengths.append(w)
-            return measure(w)
+        def counted_check(w: tuple[int, ...], n: int) -> int:
+            checked.append(w)
+            return check(w, n)
 
         def counted_convert(w: Permutation) -> None:
             # frame 1 is the dataclass __init__, frame 2 its caller
@@ -992,11 +993,12 @@ class TestRunVerify:
                 conversions.append(w)
             convert(w)
 
-        monkeypatch.setattr(weakorder.wsets, "length", counted_length)
+        monkeypatch.setattr(weakorder.wsets, "_permutation_inversions", counted_check)
         monkeypatch.setattr(Permutation, "__post_init__", counted_convert)
         assert run(["verify", "--family", "inv", "--n", "5"]) == 0
         assert len(members) == 83
-        assert lengths == conversions == members
+        assert checked == members
+        assert conversions == []
 
 
 class TestSizeGuard:

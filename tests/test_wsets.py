@@ -80,19 +80,20 @@ def _count_nodes(monkeypatch, construct, elements) -> dict[str, int]:
 
 
 class TestWSetContainer:
+    # a WSet holds its members' one-line words
     def test_rejects_unsorted_members(self) -> None:
-        a, b = Permutation((2, 1, 3)), Permutation((1, 3, 2))
+        a, b = (2, 1, 3), (1, 3, 2)
         with pytest.raises(ValueError):
             WSet(inv(3, (1, 2)), 1, (a, b))
 
     def test_rejects_duplicates(self) -> None:
-        a = Permutation((2, 1, 3))
+        a = (2, 1, 3)
         with pytest.raises(ValueError):
             WSet(inv(3, (1, 2)), 1, (a, a))
 
     def test_rejects_wrong_length(self) -> None:
         with pytest.raises(ValueError):
-            WSet(inv(3, (1, 2)), 2, (Permutation((2, 1, 3)),))
+            WSet(inv(3, (1, 2)), 2, ((2, 1, 3),))
 
     def test_collect_rejects_a_repeat(self) -> None:
         # the direct generators reach each member once, so a repeat is a
@@ -102,6 +103,78 @@ class TestWSetContainer:
         w = (2, 1, 3)
         with pytest.raises(ValueError, match="duplicate-free"):
             weakorder.wsets._collect(inv(3, (1, 2)), 1, [w, w])
+
+    @pytest.mark.parametrize(
+        "words, error",
+        [
+            ([(2, 1, 3), bad], f"not a permutation of 1..3: {bad}")
+            for bad in (
+                (2, 0, 3), (2, 1, 4), (2, -1, 3), (2, 2, 3), (2, 1), (2, 1, 3, 4), (2, 10**9, 3)
+            )
+        ]
+        + [
+            ([(2, 1, 3), (1, 2, 3)], "member [1,2,3] of (1,2) has length 0, expected the rank 1"),
+            # (1, 2, 3) comes first in word order, but a non-permutation is
+            # reported before any wrong length
+            ([(3, 3, 1), (1, 2, 3)], "not a permutation of 1..3: (3, 3, 1)"),
+        ],
+        ids=["zero", "n+1", "negative", "repeat", "too few", "too many", "huge"]
+        + ["wrong length", "non-permutation first"],
+    )
+    def test_collect_rejects_a_bad_word(self, words, error) -> None:
+        # each value is range-checked before it is shifted: a negative one
+        # is no negative shift count, and 10**9 builds no 125 MB mask
+        import tracemalloc
+
+        import weakorder.wsets
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(error)):
+                weakorder.wsets._collect(inv(3, (1, 2)), 1, words)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_word_checks_survive_python_O(self) -> None:
+        # asserts are stripped under -O; each check must be a real raise
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import weakorder
+
+        code = (
+            "from weakorder import Involution, WSet\n"
+            "from weakorder.wsets import _collect\n"
+            "x = Involution.from_cycles(3, [(1, 2)])\n"
+            "for words in ([(2, 0, 3)], [(2, 1, 4)], [(2, -1, 3)], [(2, 2, 3)], [(2, 1)],\n"
+            "              [(2, 1, 3, 4)], [(2, 10**9, 3)], [(1, 2, 3)], [(2, 1, 3)] * 2):\n"
+            "    try:\n"
+            "        _collect(x, 1, words)\n"
+            "    except ValueError:\n"
+            "        print('raised')\n"
+            "try:\n"
+            "    WSet(x, 1, ((2, 3, 1), (2, 1, 3)))\n"
+            "except ValueError:\n"
+            "    print('raised')\n"
+        )
+        src = str(Path(weakorder.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.stdout == "raised\n" * 10, done.stderr
+
+    def test_members_are_built_on_first_read(self) -> None:
+        ws = wset_involution(inv(4, (1, 4), (2, 3)))
+        assert ws.words == ((3, 2, 4, 1), (3, 4, 1, 2), (4, 1, 3, 2))
+        assert "members" not in vars(ws)
+        assert ws.members == tuple(map(Permutation, ws.words))
+        assert ws.members is ws.members
 
 
 class TestKnownInvolutionSets:
@@ -479,32 +552,37 @@ class TestOracleAgreement:
         import weakorder.wsets
 
         P = build_poset("involution", 3)
-        monkeypatch.setattr(weakorder.wsets, "length", lambda w: -1)
+        monkeypatch.setattr(weakorder.wsets, "_permutation_inversions", lambda w, n: -1)
         top = P.elements[-1]
         with pytest.raises(ValueError, match=rf"of {re.escape(top.text())} has length -1"):
             wset_oracle(P, top)
 
-    def test_oracle_converts_and_measures_each_member_once(self, monkeypatch) -> None:
+    def test_oracle_checks_each_member_once_in_order(self, monkeypatch) -> None:
+        # one check per member, in word order, and no Permutation until
+        # members is read
         import weakorder.wsets
 
         P = build_poset("involution", 5)
         (top,) = P.maximal_elements()
-        lengths, conversions = [], []
-        measure, convert = weakorder.wsets.length, Permutation.__post_init__
+        checked, conversions = [], []
+        check, convert = weakorder.wsets._permutation_inversions, Permutation.__post_init__
 
-        def counted_length(w: Permutation) -> int:
-            lengths.append(w)
-            return measure(w)
+        def counted_check(w: tuple[int, ...], n: int) -> int:
+            checked.append(w)
+            return check(w, n)
 
         def counted_convert(w: Permutation) -> None:
             conversions.append(w)
             convert(w)
 
-        monkeypatch.setattr(weakorder.wsets, "length", counted_length)
+        monkeypatch.setattr(weakorder.wsets, "_permutation_inversions", counted_check)
         monkeypatch.setattr(Permutation, "__post_init__", counted_convert)
         ws = wset_oracle(P, top)
         assert len(ws) == 8
-        assert lengths == conversions == list(ws.members)
+        assert checked == list(ws.words)
+        assert conversions == []
+        assert [w.word for w in ws.members] == checked
+        assert conversions == list(ws.members)
 
     def test_dispatch(self) -> None:
         pi = inv(4, (1, 2))
