@@ -444,7 +444,8 @@ def _add_max_elements(sp: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> "tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]":
+    """The top-level parser and its subcommands' parsers, by name."""
     parser = argparse.ArgumentParser(
         prog="weakorder",
         description="Weak order posets on involutions, their chains and W-sets.",
@@ -487,21 +488,30 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(handler=_cmd_rank)
 
-    return parser
+    return parser, sub.choices
 
 
-# built on the first ``run`` and reused: building it costs about as much as
-# answering a small request
+# built on the first ``run`` and reused, with the table of its subcommands'
+# parsers: building them costs about as much as answering a small request.
+# A request that names a subcommand first goes straight to that subcommand's
+# parser; the top-level parser handles only help and errors
 _PARSER: "argparse.ArgumentParser | None" = None
+_COMMANDS: "dict[str, argparse.ArgumentParser]" = {}
 
 
 def run(argv: "list[str] | None" = None) -> int:
     """Parse argv and run one subcommand; returns the exit code."""
-    global _PARSER
+    global _PARSER, _COMMANDS
     if _PARSER is None:
-        _PARSER = _build_parser()
+        _PARSER, _COMMANDS = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _PARSER.parse_args(argv)
+        sub = _COMMANDS.get(argv[0]) if argv else None
+        args, rest = sub.parse_known_args(argv[1:]) if sub else (None, [])
+        if args is None or rest:
+            # no subcommand first, or arguments it left: the top-level parser
+            # answers, with its own usage line and message
+            args = _PARSER.parse_args(argv)
     except SystemExit as ex:
         return int(ex.code or 0)
     try:

@@ -42,7 +42,7 @@ from __future__ import annotations
 import gc
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 from .involutions import (
@@ -211,7 +211,8 @@ class WeakOrderPoset:
     ``texts[j]`` is ``elements[j].text()``, computed once by whoever builds
     the poset (here if not given) and read by the exports; ``up[j]`` and
     ``down[j]`` hold the ``Edge``s leaving and entering element j, in the
-    order of ``edges``.
+    order of ``edges``.  The element index and the adjacency are built on
+    first read, so an export, which reads neither, builds neither.
     ``complete`` records whether this is a full family poset, so that global
     checks such as the closed-form element count apply, or a derived piece
     (a lower interval or an edge-filtered copy).
@@ -235,14 +236,28 @@ class WeakOrderPoset:
         self.edges = edges
         self.complete = complete
         self.texts = tuple([e.text() for e in elements]) if texts is None else texts
-        self._index: dict[Element, int] = {e: j for j, e in enumerate(elements)}
-        up: list[list[Edge]] = [[] for _ in elements]
-        down: list[list[Edge]] = [[] for _ in elements]
-        for e in edges:
+
+    @cached_property
+    def _index(self) -> dict[Element, int]:
+        return {e: j for j, e in enumerate(self.elements)}
+
+    @cached_property
+    def _adjacency(self) -> "tuple[tuple[tuple[Edge, ...], ...], tuple[tuple[Edge, ...], ...]]":
+        """``up`` and ``down``, filled in one pass over the edges."""
+        up: list[list[Edge]] = [[] for _ in self.elements]
+        down: list[list[Edge]] = [[] for _ in self.elements]
+        for e in self.edges:
             up[e.lo].append(e)
             down[e.hi].append(e)
-        self.up: tuple[tuple[Edge, ...], ...] = tuple(map(tuple, up))
-        self.down: tuple[tuple[Edge, ...], ...] = tuple(map(tuple, down))
+        return tuple(map(tuple, up)), tuple(map(tuple, down))
+
+    @property
+    def up(self) -> tuple[tuple[Edge, ...], ...]:
+        return self._adjacency[0]
+
+    @property
+    def down(self) -> tuple[tuple[Edge, ...], ...]:
+        return self._adjacency[1]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -367,11 +382,11 @@ def lower_interval(P: WeakOrderPoset, x: Element) -> WeakOrderPoset:
     The one restriction of a built poset to [bottom, x].  Its last element
     is x, as edges point up in index; its first is P's bottom unless x is
     not above it, as in an edge-filtered copy."""
-    target = P.index_of(x)
+    target, up, down = P.index_of(x), P.up, P.down
     keep = {target}
     stack = [target]
     while stack:
-        for e in P.down[stack.pop()]:
+        for e in down[stack.pop()]:
             if e.lo not in keep:
                 keep.add(e.lo)
                 stack.append(e.lo)
@@ -380,7 +395,7 @@ def lower_interval(P: WeakOrderPoset, x: Element) -> WeakOrderPoset:
     make = tuple.__new__  # an Edge without its Python frame, as in _assemble
     edges = tuple([
         make(Edge, (remap[j], remap[e.hi], e.labels, e.types))
-        for j in order for e in P.up[j] if e.hi in remap
+        for j in order for e in up[j] if e.hi in remap
     ])
     return WeakOrderPoset(
         P.family, P.param, tuple([P.elements[j] for j in order]),
@@ -555,7 +570,7 @@ def verify_graded(P: WeakOrderPoset) -> GradedReport:
                 f"edge {P.elements[e.lo].text()} -> {P.elements[e.hi].text()} "
                 f"jumps rank {P.ranks[e.lo]} -> {P.ranks[e.hi]}"
             )
-    minima = [j for j in range(len(P.elements)) if not P.down[j]]
+    minima = [j for j, below in enumerate(P.down) if not below]
     if len(minima) != 1:
         bad.append(f"{len(minima)} minimal elements, expected a unique bottom")
     elif P.ranks[minima[0]] != 0:

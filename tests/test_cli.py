@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import sys
 import time
 
 import pytest
@@ -107,6 +108,13 @@ class TestExports:
         assert '0 [label="id"];' in dot
         assert dot.rstrip().endswith("}")
         assert 'label="involution n=3"' in dot
+
+    def test_exports_build_no_index_or_adjacency(self) -> None:
+        P = build_poset("fpf", 8)
+        export_dot(P), export_json(P)
+        assert "_index" not in vars(P) and "_adjacency" not in vars(P)
+        assert P.index_of(P.bottom) == 0 and P.up is P.up and P.down is P.down
+        assert "_index" in vars(P) and "_adjacency" in vars(P)
 
     def test_dot_marks_attachments_bold(self) -> None:
         dot = export_dot(build_poset("involution", 2))
@@ -1096,36 +1104,120 @@ class TestSizeGuard:
 def test_parser_built_once_per_process(capsys, monkeypatch) -> None:
     import weakorder.cli
 
+    # None calls run() with no argument, which reads sys.argv[1:]
     argvs = [
         ["rank", "--family", "inv", "--n", "5", "--element", "(1,3)(2,5)"],
         ["wset", "--family", "inv", "--n", "3"],
         ["--help"],
+        None,
         ["chains", "--family", "clan", "--element", "(1+)(2-)", "--count"],
         ["hasse", "--family", "fpf", "--n", "4", "--json"],
         ["rank", "--family", "magic", "--element", "(1,2)"],
         ["rank", "--family", "fpf", "--element", "(1,2)(3,4)", "--json"],
     ]
+    process_argv = ["weakorder", "rank", "--family", "fpf", "--element", "(1,4)(2,3)"]
+    monkeypatch.setattr("sys.argv", process_argv)
     build = weakorder.cli._build_parser
     built = []
 
     def counting():
-        built.append(1)
-        return build()
+        built.append(build())
+        return built[-1]
 
     def outcome(argv, fresh):
         if fresh:
             monkeypatch.setattr(weakorder.cli, "_PARSER", None)
-        code = run(list(argv))
+        code = run(None if argv is None else list(argv))
         captured = capsys.readouterr()
+        # the parser and the subcommand table in use come from the last build
+        assert weakorder.cli._PARSER is built[-1][0]
+        assert weakorder.cli._COMMANDS is built[-1][1]
         return code, captured.out, captured.err
 
     monkeypatch.setattr(weakorder.cli, "_PARSER", None)
+    monkeypatch.setattr(weakorder.cli, "_COMMANDS", {})
     monkeypatch.setattr(weakorder.cli, "_build_parser", counting)
     reused = [outcome(argv, fresh=False) for argv in argvs]
     assert len(built) == 1
-    assert [code for code, _, _ in reused] == [0, 2, 0, 0, 0, 2, 0]
+    assert list(built[0][1]) == ["wset", "chains", "hasse", "verify", "rank"]
+    assert [code for code, _, _ in reused] == [0, 2, 0, 0, 0, 0, 2, 0]
+    assert reused[3] == (0, "2\n", "")
     # a parser built for each call, as every call once did, answers the same
     assert reused == [outcome(argv, fresh=True) for argv in argvs]
+    assert len(built) == 1 + len(argvs)
+    assert len({id(commands) for _, commands in built}) == len(built)
+
+
+# argv's for which run() must answer as the top-level parser alone does
+_DISPATCH_CORPUS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["bogus"],
+    ["ws"],
+    ["ran", "--family", "inv", "--n", "5", "--element", "(1,3)"],
+    *[[cmd, *more] for cmd in ("wset", "chains", "hasse", "verify", "rank") for more in ([], ["-h"])],
+    ["wset", "--family", "inv", "--n", "4", "--element", "(1,3)"],
+    ["wset", "--family", "fpf", "--element", "(1,4)(2,3)", "--json"],
+    ["chains", "--family", "inv", "--n", "4", "--element", "(1,4)(2,3)"],
+    ["chains", "--family", "clan", "--element", "(1,4)(2+)(3-)", "--count"],
+    ["hasse", "--family", "fpf", "--n", "4"],
+    ["hasse", "--family", "clan", "--p", "1", "--q", "2", "--json"],
+    ["verify", "--family", "fpf", "--n", "4"],
+    ["verify", "--n", "2", "--json"],
+    ["rank", "--family", "inv", "--n", "5", "--element", "(1,3)(2,5)"],
+    ["rank", "--family", "fpf", "--element", "(1,2)(3,4)", "--json"],
+    ["rank", "--family", "inv", "--n", "5", "--element", "(1,3)(2,5)", "--bogus"],
+    ["rank", "--family", "inv", "--n", "5", "--element", "(1,3)", "stray"],
+    ["rank", "--family", "inv", "--n", "x", "--element", "(1,3)"],
+    ["rank", "--fam", "inv", "--n", "5", "--element", "(1,3)"],
+    ["rank", "--family=inv", "--n=5", "--element=(1,3)(2,5)"],
+    ["rank", "--family", "inv", "--n", "5", "--", "--element", "(1,3)"],
+    ["--json", "rank", "--family", "inv", "--n", "5", "--element", "(1,3)"],
+    ["rank", "--he"],
+    ["rank", "--family", "inv", "--n", "5", "--element", "-h"],
+    ["rank", "--family", "magic", "--element", "(1,2)"],
+    ["rank", "--family", "inv", "--element", "(1,2)"],
+    ["hasse", "--family", "inv", "--n", "3", "--max-elements", "2"],
+    ["verify", "--family", "all", "--n", "2", "--json", "--bogus"],
+]
+
+
+@pytest.mark.parametrize("argv", _DISPATCH_CORPUS, ids=" ".join)
+def test_dispatch_answers_as_the_top_level_parser(capsys, monkeypatch, argv) -> None:
+    import weakorder.cli
+
+    parser, commands = weakorder.cli._build_parser()
+    monkeypatch.setattr(weakorder.cli, "_PARSER", parser)
+    monkeypatch.setattr(weakorder.cli, "_COMMANDS", commands)
+    # every handler records the namespace it is given, on whichever path
+    seen: list[dict] = []
+    for sp in commands.values():
+
+        def recording(args, handler=sp.get_default("handler")):
+            seen.append(vars(args).copy())
+            return handler(args)
+
+        sp.set_defaults(handler=recording)
+
+    code = run(list(argv))
+    got = (code, *capsys.readouterr())
+    namespaces = seen[:]
+    try:
+        args = parser.parse_args(list(argv))
+    except SystemExit as ex:
+        want = (int(ex.code or 0), *capsys.readouterr())
+        assert namespaces == []
+    else:
+        assert args.command == argv[0]
+        try:
+            code = args.handler(args)
+        except ValueError as ex:
+            print(f"error: {ex}", file=sys.stderr)
+            code = 2
+        want = (code, *capsys.readouterr())
+        assert namespaces == [{k: v for k, v in vars(args).items() if k != "command"}]
+    assert got == want
 
 
 class TestArgumentErrors:
