@@ -225,7 +225,7 @@ def _element_from_args(args: argparse.Namespace) -> Element:
     x = parse_element(args.element, args.family, n=args.n)
     if values.count(None) not in (0, len(values)):
         raise ValueError("give both --p and --q or neither")
-    if None not in values:  # with --n the only flag, x.n equals it already
+    if len(values) > 1 and None not in values:  # parse_element checked a lone --n
         got = list(_named(args.family, _family(args.family).param_of(x)).values())
         if got != values:
             raise ValueError(

@@ -27,8 +27,11 @@ adjacent isolated vertex (IA1/IA2), cross two disjoint adjacent strands
 isolated vertices (II).  Fixed-point-free covers are of types IB/IC
 only; clan covers are the opposite surgeries (shorten, uncross to disjoint,
 nest to crossing, detach), as the clan order runs against the involution
-order.  ``upward_covers_*`` build each upper word into the family's own
-element type (``Involution``, ``FpfInvolution``, ``Clan``), which checks it.
+order.  The public ``upward_covers_*`` and ``downward_covers_*`` are
+named witnesses of the moves the program takes from the ``posets._FAMILY``
+rows: ``up`` in ``build_poset`` and ``verify``, ``down`` in
+``count_chains_below`` and ``build_lower_interval``.  ``upward_covers_*``
+build each upper word into the family's element type, which checks it.
 
 Cover types are metadata: poset structure never depends on them, but they
 drive edge styling in DOT output and the IC-deletion experiments.
@@ -160,20 +163,22 @@ def _covers_of(family: str, kind: type, up: Callable, forbid: tuple, x: Involuti
 def upward_covers_involution(x: Involution) -> list[tuple[int, Involution, CoverType]]:
     """All covers of x in the weak order on involutions, as (label, upper, type).
 
-    Generated through the monoid step; several labels may reach the same
-    upper involution (the caller merges those into one Hasse edge).
+    Named witness of ``_FAMILY["involution"].up``, checked by
+    ``test_covers_are_the_reference_moves``; several labels may reach one upper involution.
     """
     return _covers_of("involution", Involution, partial(_lengthen, _UNSIGNED), (), x)
 
 
 def upward_covers_fpf(x: FpfInvolution) -> list[tuple[int, FpfInvolution, CoverType]]:
-    """Covers in the fixed-point-free order; only types IB, IC1, IC2 occur."""
+    """Covers in the fixed-point-free order; only types IB, IC1, IC2 occur.
+    Named witness of ``_FAMILY["fpf"].up``, checked by ``test_covers_are_the_reference_moves``."""
     return _covers_of("fpf", FpfInvolution, partial(_lengthen, ()), _NOT_FPF, x)
 
 
 def upward_covers_clan(x: Clan) -> list[tuple[int, Clan, CoverType]]:
     """All covers of x in the clan order, as (label, upper, type).
 
+    Named witness of ``_FAMILY["clan"].up``, checked by ``test_covers_are_the_reference_moves``.
     Every move shortens the underlying involution by one rank step, so the
     clan rank p*q - rank rises by exactly 1.  A type II move on the strand
     {i, i+1} yields two covers under the same label, one per sign order.
@@ -183,7 +188,8 @@ def upward_covers_clan(x: Clan) -> list[tuple[int, Clan, CoverType]]:
 
 def downward_covers_involution(w: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
     """Inverse of ``upward_covers_involution``: detach the strand {i, i+1},
-    or conjugate by s_i at a descent.
+    or conjugate by s_i at a descent.  Named witness of
+    ``_FAMILY["involution"].down``, checked by ``test_down_covers_invert_up_covers``.
 
     >>> downward_covers_involution((4, 3, 2, 1))
     [(1, (3, 4, 1, 2)), (2, (4, 2, 3, 1)), (3, (3, 4, 1, 2))]
@@ -193,18 +199,18 @@ def downward_covers_involution(w: tuple[int, ...]) -> list[tuple[int, tuple[int,
 
 def downward_covers_fpf(w: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
     """Inverse of ``upward_covers_fpf``: conjugate by s_i at a descent that
-    is not the strand {i, i+1}."""
+    is not the strand {i, i+1}.  Named witness of ``_FAMILY["fpf"].down``,
+    checked by ``test_down_covers_invert_up_covers``."""
     return _shorten((), w)
 
 
 def downward_covers_clan(w: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
-    """Inverse of ``upward_covers_clan`` on signed words.
-
-    Where i and i+1 are fixed with opposite signs, attach the strand
-    {i, i+1} (inverse of type II).  Where the underlying involution ascends
-    at i, conjugate by s_i, moving a fixed point's sign with it: this undoes
-    the shortening of IA1/IA2, the uncrossing of IB and the crossing of
-    IC1/IC2, the underlying involution rising one rank step in each.
+    """Inverse of ``upward_covers_clan`` on signed words: attach the strand
+    {i, i+1} on fixed points of opposite signs (inverse of type II), or
+    conjugate by s_i where the underlying involution ascends at i, a fixed
+    point's sign riding along, the underlying involution rising one rank.
+    Named witness of ``_FAMILY["clan"].down``, checked by
+    ``test_down_covers_invert_up_covers``.
 
     >>> downward_covers_clan((1, -2, 4, 3))
     [(1, (2, 1, 4, 3)), (2, (1, 4, -3, 2))]

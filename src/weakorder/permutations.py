@@ -11,6 +11,10 @@ Conventions, used consistently across the whole package:
   ``s_{i_1} o s_{i_2} o ... o s_{i_k}`` and is reduced when k equals the
   length of that product.
 
+Two walks on one-line words: ``_closure`` keeps structure (each reached
+word's position, depth and moves), and ``_sweep`` carries values along the
+chains, two ranks at a time (path counts, label words, chain products).
+
 >>> u = Permutation((3, 2, 4, 1))
 >>> u(1), u(4)
 (3, 1)
@@ -23,7 +27,7 @@ Conventions, used consistently across the whole package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Hashable, Iterable, Iterator
 
 __all__ = [
     "Permutation",
@@ -246,8 +250,7 @@ def evaluate_word(letters: tuple[int, ...], n: int) -> Permutation:
 def _closure(start: Word, moves: Callable[[Word], Moves]) -> Closure:
     """Breadth-first closure of ``start`` under ``moves``: the reached words
     in breadth-first order, each one's depth, and each one's moves as (label,
-    position of the moved-to word in that order).  Each move's word is looked
-    up once, to find its position; no word is hashed again later."""
+    position of the moved-to word), each move's word looked up once."""
     at = {start: 0}
     words = [start]
     depths = [0]
@@ -266,24 +269,29 @@ def _closure(start: Word, moves: Callable[[Word], Moves]) -> Closure:
     return words, depths, steps
 
 
-def _count_paths(start: Word, moves: Callable[[Word], Moves]) -> dict[Word, int]:
-    """Paths from ``start`` under ``moves`` into each word that has no moves,
-    keyed in breadth-first discovery order.  Every move leads one rank on (the
-    orders are graded), so a rank's counts are complete before it is expanded,
-    and only the current rank and the next are held, each a dict from word to
-    its number of paths."""
-    ends: dict[Word, int] = {}
-    rank = {start: 1}
+def _sweep(start: Hashable, moves: Callable, first: object, spread: Callable) -> Iterator[tuple]:
+    """(node, depth, value, moves) of every node reached from ``start``, rank
+    by rank.  ``moves(node)`` lists (label, next node); ``spread(nxt, value,
+    moves)`` carries a node's value into ``nxt``, the next rank's dict from
+    node to value, ``first`` being ``start``'s.  In a graded order a node's
+    value is whole at its rank; a move that skips a rank re-enters its node
+    at another depth.  Two ranks are held, each node dropped as it is
+    yielded."""
+    rank, depth = {start: first}, 0
     while rank:
-        nxt: dict[Word, int] = {}
-        for w, c in rank.items():
-            got = moves(w)
-            if not got:
-                ends[w] = c
-            for _, v in got:
-                nxt[v] = nxt.get(v, 0) + c
-        rank = nxt
-    return ends
+        nxt: dict = {}
+        while rank:
+            node, value = rank.popitem()
+            out = moves(node)
+            spread(nxt, value, out)
+            yield node, depth, value, out
+        rank, depth = nxt, depth + 1
+
+
+def _add(nxt: dict, count: int, moves: Moves) -> None:
+    """Spread a word's path count to each word it moves to."""
+    for _, v in moves:
+        nxt[v] = nxt.get(v, 0) + count
 
 
 def _peel(w: Word) -> Moves:
@@ -301,34 +309,34 @@ def _peel(w: Word) -> Moves:
     return out
 
 
+def _append(nxt: dict, words: set[ReducedWord], moves: Moves) -> None:
+    """Spread a word's label words to each word it moves to, the label appended."""
+    for j, v in moves:
+        nxt.setdefault(v, set()).update([w + (j,) for w in words])
+
+
 def reduced_words(u: Permutation) -> set[ReducedWord]:
     """All reduced words for u, found by peeling left descents.
 
     A word ``(j,) + rest`` is reduced for u exactly when j is a left descent
-    of u and ``rest`` is reduced for s_j o u.  Each peeling lowers the
-    length by exactly 1, so one sweep over the ``_closure`` of u's word,
-    from the identity up, fills in every permutation below u, and a long u
-    needs no recursion.
+    of u and ``rest`` is reduced for s_j o u, and each peeling lowers the
+    length by 1, so one ``_sweep`` down from u's word, holding two lengths
+    of label words, reaches the identity with all of them, with no recursion.
 
     >>> reduced_words(identity(3))
     {()}
     >>> sorted(reduced_words(Permutation((3, 2, 1))))
     [(1, 2, 1), (2, 1, 2)]
     """
-    _, _, peel = _closure(u.word, _peel)
-    words: list[frozenset[ReducedWord]] = [frozenset({()})] * len(peel)
-    for k in reversed(range(len(peel))):
-        if peel[k]:
-            words[k] = frozenset((j,) + rest for j, v in peel[k] for rest in words[v])
-    return set(words[0])
+    return next(words for _, _, words, out in _sweep(u.word, _peel, {()}, _append) if not out)
 
 
 def count_reduced_words(u: Permutation) -> int:
-    """Number of reduced words for u, without materializing them: the paths
-    from u's word down to the identity by peeling left descents, counted one
-    length at a time, so that only two lengths of [e, u] are held at once.
+    """Number of reduced words for u, without listing them: the paths from
+    u's word down to the identity by peeling left descents, counted by
+    ``_sweep``, which holds two lengths of [e, u] at once.
 
     >>> count_reduced_words(Permutation((3, 2, 1)))
     2
     """
-    return sum(_count_paths(u.word, _peel).values())
+    return sum(c for _, _, c, out in _sweep(u.word, _peel, 1, _add) if not out)

@@ -10,8 +10,8 @@ Elements are sorted by (rank, text), so indices are stable and
 rank-monotone: every edge points from a lower index to a strictly higher
 one, and dynamic programs can sweep the element list in order.  The
 chain walkers sweep ``lower_interval``, the one restriction to [bottom, x].
-Counting the chains below x needs no poset: ``count_chains_below`` walks
-x's word down one rank at a time with ``permutations._count_paths``.
+Counting the chains below x needs no poset: ``count_chains_below`` carries
+path counts down from x's word by ``permutations._sweep``, the other walk.
 
 What differs between the three families sits in one private table,
 ``_FAMILY``, keyed by the names in ``FAMILIES``; no other code branches on a
@@ -64,15 +64,8 @@ from .involutions import (
     rank_fpf,
     rank_involution,
 )
-from .matchings import (
-    _NOT_FPF,
-    CoverType,
-    _cover_types,
-    downward_covers_clan,
-    downward_covers_fpf,
-    downward_covers_involution,
-)
-from .permutations import Closure, Moves, Word, _closure, _count_paths, count_reduced_words
+from .matchings import _NOT_FPF, CoverType, _cover_types
+from .permutations import Closure, Moves, Word, _add, _closure, _sweep, count_reduced_words
 from .wsets import WSet, wset_clan, wset_fpf, wset_involution
 
 __all__ = [
@@ -121,17 +114,17 @@ class _Family:
 # lambdas look each wset_* up in this module per call, so wrappers set there apply
 _FAMILY = {
     "involution": _Family(
-        Involution, partial(_lengthen, _UNSIGNED), downward_covers_involution, rank_involution,
+        Involution, partial(_lengthen, _UNSIGNED), partial(_shorten, _UNSIGNED), rank_involution,
         lambda x: wset_involution(x), involution_count, lambda x: x.n, lambda n: [n],
         bottom_involution, ("n",), "involution n={n}", "implicit", (), 6,
     ),
     "fpf": _Family(
-        FpfInvolution, partial(_lengthen, ()), downward_covers_fpf, rank_fpf,
+        FpfInvolution, partial(_lengthen, ()), partial(_shorten, ()), rank_fpf,
         lambda x: wset_fpf(x), fpf_count, lambda x: x.n, lambda n: [n] if n % 2 == 0 else [],
         bottom_fpf, ("n",), "fpf n={n}", "absent", _NOT_FPF, 8,
     ),
     "clan": _Family(
-        Clan, partial(_shorten, _OPPOSITE), downward_covers_clan, rank_clan,
+        Clan, partial(_shorten, _OPPOSITE), partial(_lengthen, _OPPOSITE), rank_clan,
         lambda x: wset_clan(x), lambda pq: clan_count(*pq), lambda x: (x.p, x.q),
         lambda n: [(p, n - p) for p in range(1, n)],
         bottom_clan, ("p", "q"), "clan (p,q)=({p},{q})", "signed", (), 6,
@@ -406,8 +399,8 @@ def lower_interval(P: WeakOrderPoset, x: Element) -> WeakOrderPoset:
 
 def _only_bottom(family: str, param: int | tuple[int, int], ends: Iterable[Word]) -> Word:
     """The family bottom's word, after checking that each of ``ends``, the
-    words below some x that have no down-cover, in breadth-first order from
-    x, is that bottom.  Raises RuntimeError at the first that is not."""
+    words below some x that have no down-cover, nearest x first (rank by
+    rank), is that bottom.  Raises RuntimeError at the first that is not."""
     bottom = bottom_element(family, param).word
     for w in ends:
         if w != bottom:
@@ -438,15 +431,15 @@ def count_chains_below(family: str, x: Element) -> int:
 
     Equals ``count_maximal_chains(build_poset(family, ...), x)``: the paths
     from x's word down to the bottom's, each (label, lower word) down-cover
-    one step, counted one rank at a time by ``_count_paths``, so that only
-    two ranks of the interval are held at once.  Raises RuntimeError if a
-    word other than the family bottom has no down-cover.
+    one step, counted by ``_sweep``, which holds two ranks of the interval
+    at once; the count of each word with no down-cover is read off it.
+    Raises RuntimeError if a word other than the family bottom has none.
 
     >>> count_chains_below("involution", Involution.from_cycles(4, [(1, 4), (2, 3)]))
     8
     """
     fam = _family_of(family, x)
-    ends = _count_paths(x.word, fam.down)
+    ends = {w: c for w, _, c, out in _sweep(x.word, fam.down, 1, _add) if not out}
     return ends[_only_bottom(family, fam.param_of(x), ends)]
 
 

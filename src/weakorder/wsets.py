@@ -26,9 +26,10 @@ checks each once, in one pass, and rejects a repeat; ``members`` builds the
 ``Permutation``s when read.  ``posets.wset_direct`` picks the construction.
 ``wset_oracle`` computes the same sets by brute force over labeled chains,
 and the tests certify that each direct construction agrees with it.  The
-chain products come from one sweep holding two ranks, ``_chain_products``:
-``verify`` runs it on words, from the bottom's, and checks an agreeing
-W-set's words once, on the direct side; ``wset_oracle`` runs it on indices.
+chain products are values carried along the chains by ``_chain_products``,
+one call of ``permutations._sweep`` (``_closure`` keeps structure): ``verify``
+runs it on words, from the bottom's, and checks an agreeing W-set's words
+once, on the direct side; ``wset_oracle`` runs it on indices.
 
 >>> pi = Involution.from_cycles(4, [(1, 4), (2, 3)])
 >>> [w.as_text(compact=True) for w in wset_involution(pi).members]
@@ -51,7 +52,7 @@ from .involutions import (
     rank_fpf,
     rank_involution,
 )
-from .permutations import Permutation, Word, _permutation_inversions, _word_text
+from .permutations import Permutation, Word, _permutation_inversions, _sweep, _word_text
 
 if TYPE_CHECKING:
     from .posets import Element, WeakOrderPoset
@@ -360,30 +361,20 @@ def wset_clan(pi: Clan) -> WSet:
     return _collect(pi, rank_clan(pi), words)
 
 
+def _extend(nxt: dict, products: set[Word], moves: list) -> None:
+    """Spread a node's products to each node it moves to: s_i swaps values i, i+1."""
+    for i, v in moves:
+        target = nxt.setdefault(v, set())
+        for w in products:
+            u = list(w)
+            u[w.index(i)], u[w.index(i + 1)] = i + 1, i
+            target.add(tuple(u))
+
+
 def _chain_products(start: Hashable, moves: Callable, n: int) -> Iterator[tuple]:
     """(node, depth, chain products, moves) of every node reached from
-    ``start``, rank by rank; ``moves(node)`` lists (label, next node).
-
-    A node's products extend those one rank below it by one letter per
-    label, whole when its rank is reached in a graded order; a move that
-    skips a rank re-enters its node at another depth.  Two ranks are held,
-    each a dict from node to products, a node dropped as it is yielded.
-    The letter s_i acts on the left: it swaps the values i and i+1.
-    """
-    rank, depth = {start: {tuple(range(1, n + 1))}}, 0
-    while rank:
-        nxt: dict[Hashable, set[tuple[int, ...]]] = {}
-        while rank:
-            node, got = rank.popitem()
-            out = moves(node)
-            for i, v in out:
-                target = nxt.setdefault(v, set())
-                for w in got:
-                    u = list(w)
-                    u[w.index(i)], u[w.index(i + 1)] = i + 1, i
-                    target.add(tuple(u))
-            yield node, depth, got, out
-        rank, depth = nxt, depth + 1
+    ``start``: ``permutations._sweep`` with the products spread."""
+    return _sweep(start, moves, {tuple(range(1, n + 1))}, _extend)
 
 
 def wset_oracle(P: WeakOrderPoset, x: Element) -> WSet:

@@ -57,11 +57,13 @@ def test_down_covers_invert_up_covers(family, param) -> None:
     for e in P.edges:
         for i in e.labels:
             want[P.elements[e.hi]].add((i, P.elements[e.lo]))
-    for y in P.elements:
-        kind = type(y)
-        got = [(i, kind(v)) for i, v in DOWN[family](y.word)]
-        assert len(got) == len(set(got)), y.text()
-        assert set(got) == want[y], y.text()
+    # the named witness and the moves the program takes, the table's row
+    for down in (DOWN[family], weakorder.posets._FAMILY[family].down):
+        for y in P.elements:
+            kind = type(y)
+            got = [(i, kind(v)) for i, v in down(y.word)]
+            assert len(got) == len(set(got)), y.text()
+            assert set(got) == want[y], y.text()
 
 
 @pytest.mark.parametrize("family,param", SIZES, ids=IDS)

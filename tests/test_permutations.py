@@ -7,6 +7,7 @@ import math
 import random
 import time
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given
@@ -26,6 +27,7 @@ from weakorder.permutations import (
     reduced_words,
     simple_transposition,
 )
+from weakorder.permutations import _add, _sweep
 
 
 @st.composite
@@ -215,6 +217,57 @@ class TestReducedWords:
         got = fn(u)
         assert time.perf_counter() - started < 5
         assert got == (1 if fn is count_reduced_words else {tuple(range(1, 1200))})
+
+
+# a graded table of moves: a below b and c, both below d, b below e
+MOVES = {"a": [(1, "b"), (2, "c")], "b": [(1, "d"), (2, "e")], "c": [(1, "d")], "d": [], "e": []}
+
+
+class TestSweep:
+    def test_yields_rank_by_rank_with_whole_counts(self) -> None:
+        got = list(_sweep("a", MOVES.get, 1, _add))
+        depths = [depth for _, depth, _, _ in got]
+        assert depths == sorted(depths)
+        assert sorted(got) == [
+            ("a", 0, 1, MOVES["a"]),
+            ("b", 1, 1, MOVES["b"]),
+            ("c", 1, 1, MOVES["c"]),
+            ("d", 2, 2, []),
+            ("e", 2, 1, []),
+        ]
+
+    def test_drops_each_node_as_it_is_yielded(self) -> None:
+        # values are the sets of label paths, which weak references can
+        # watch; the start's is the caller's ``first``, so only the sets the
+        # sweep builds are watched
+        def spread(nxt: dict, paths: set, out: list) -> None:
+            for i, v in out:
+                nxt.setdefault(v, set()).update([p + (i,) for p in paths])
+
+        got, refs = [], []
+        for node, depth, paths, _ in _sweep("a", MOVES.get, {()}, spread):
+            # the sweep holds no node yielded before this one
+            assert [ref() for ref in refs] == [None] * len(refs)
+            got.append((node, depth, sorted(paths)))
+            if depth:
+                refs.append(weakref.ref(paths))
+        assert sorted(got) == [
+            ("a", 0, [()]),
+            ("b", 1, [(1,)]),
+            ("c", 1, [(2,)]),
+            ("d", 2, [(1, 1), (2, 1)]),
+            ("e", 2, [(1, 2)]),
+        ]
+
+    def test_move_skipping_a_rank_reenters_its_node(self) -> None:
+        # a also moves straight to d: d is yielded at depth 1 with the one
+        # path a -> d, and again at its own rank with the two through b and c
+        moves = {**MOVES, "a": MOVES["a"] + [(3, "d")]}
+        got = [(node, depth, count) for node, depth, count, _ in _sweep("a", moves.get, 1, _add)]
+        assert [depth for _, depth, _ in got] == [0, 1, 1, 1, 2, 2]
+        assert sorted(got) == [
+            ("a", 0, 1), ("b", 1, 1), ("c", 1, 1), ("d", 1, 1), ("d", 2, 2), ("e", 2, 1)
+        ]
 
 
 def brute_reduced(word: tuple[int, ...], n: int) -> bool:
