@@ -6,10 +6,7 @@ Subcommands:
 - ``chains``: enumerate (or just count) the labeled maximal chains from the
   bottom element up to a given element, exploring only that interval;
 - ``hasse``: print a whole poset as DOT (default) or JSON;
-- ``verify``: walk every poset up to a size cap rank by rank from its
-  bottom's word, building none; check each element's rank formula, its
-  direct W-set against its chain products, and each poset's element count
-  (a unique bottom and unit rank steps hold by construction of the walk);
+- ``verify``: check every poset up to a size cap by ``posets._verify_job``;
 - ``rank``: print the rank of an element.
 
 Element grammar: a sequence of cycles "(a,b)" and, for clans, signed
@@ -34,18 +31,16 @@ from bisect import bisect_left
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 
-from . import wsets
-from .matchings import CoverType, _cover_types
+from .matchings import CoverType
 from .permutations import _word_text
 from .posets import (
     FAMILIES,
     Element,
     WeakOrderPoset,
     _chain_walk,
-    _Family,
     _family,
-    _gc_paused,
     _named,
+    _verify_job,
     build_lower_interval,
     build_poset,
     count_chains_below,
@@ -325,14 +320,6 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     return 0
 
 
-def _only(mine: tuple, theirs: tuple, side: str) -> str:
-    """How many W-set words only this side has, and up to five of them."""
-    other = set(theirs)
-    only = [w for w in mine if w not in other]
-    shown = " ".join(map(_word_text, only[:5])) + (" ..." if len(only) > 5 else "")
-    return f"{len(only)} only {side}" + (f" ({shown})" if only else "")
-
-
 # the default element limit of ``hasse`` and ``verify``: it admits
 # involutions n <= 12, fpf n <= 14 and clans p+q <= 11
 _MAX_ELEMENTS = 250_000
@@ -367,46 +354,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     failures: list[str] = []
     results = []
     for name, param in jobs:
-        fam, head = _family(name), _describe(name, param)
-        bottom = fam.bottom(**_named(name, param)).word
-
-        def moves(w: tuple[int, ...], fam: _Family = fam) -> list:
-            got = fam.up(w)
-            if fam.forbidden:  # RuntimeError on a cover of a kind the family has none of
-                _cover_types(fam.forbidden, w, got)
-            return got
-
-        elements = edges = agree = 0
-        ranks, mismatches, count = [], [], fam.count(param)
-        with _gc_paused():
-            for w, depth, products, got in wsets._chain_products(bottom, moves, len(bottom)):
-                if elements > count:  # a move down would re-enter words forever
-                    break
-                x = fam.element(w)
-                direct = fam.wset(x)
-                elements += 1
-                edges += len({v for _, v in got})
-                if direct.rank != depth:
-                    ranks.append((depth, x, direct.rank))
-                # products equal to the validated direct words pass every
-                # check of WSet, so the oracle's WSet is built only on a difference
-                if products == set(direct.words):
-                    agree += 1
-                else:
-                    mismatches.append((depth, x, direct, products))
-        # the few failures, ranks, the count, then W-sets, in (rank, text) order
-        bad = [
-            f"rank of {x.text()}: stored {depth}, formula gives {want}"
-            for depth, x, want in sorted(ranks, key=lambda f: (f[0], f[1].text()))
-        ]
-        if elements != count:
-            bad.append(f"{elements} elements, closed form gives {count}")
-        for depth, x, direct, products in sorted(mismatches, key=lambda f: (f[0], f[1].text())):
-            oracle = wsets._collect(x, depth, products).words
-            bad.append(
-                f"W-set mismatch at {x.text()}: {_only(direct.words, oracle, 'direct')}, "
-                f"{_only(oracle, direct.words, 'oracle')}"
-            )
+        head = _describe(name, param)
+        elements, edges, agree, bad = _verify_job(name, param)
         failures += [f"{head}: {line}" for line in bad]
         job = dict(elements=elements, edges=edges, agree=agree, ok=not bad)
         results.append({"family": name, "params": _named(name, param), **job})

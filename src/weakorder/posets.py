@@ -10,8 +10,9 @@ Elements are sorted by (rank, text), so indices are stable and
 rank-monotone: every edge points from a lower index to a strictly higher
 one, and dynamic programs can sweep the element list in order.  The
 chain walkers sweep ``lower_interval``, the one restriction to [bottom, x].
-Counting the chains below x needs no poset: ``count_chains_below`` carries
-path counts down from x's word by ``permutations._sweep``, the other walk.
+Two walks by ``permutations._sweep`` build no poset: ``count_chains_below``
+carries path counts down from x's word, and ``_verify_job``, the CLI's
+``verify``, chain products up from the bottom's.
 
 What differs between the three families sits in one private table,
 ``_FAMILY``, keyed by the names in ``FAMILIES``; no other code branches on a
@@ -26,9 +27,8 @@ and ``edges`` is sorted by (lo, hi).
 A maximal chain resolves every step to a single label, so a multi-label edge
 widens the set of chains without widening the Hasse diagram.
 
-Ranks are the closure's breadth-first depth (below x: rank(x) minus it);
-``verify_graded`` cross-checks them against the closed-form rank of every
-element, for the tests, as ``verify`` walks the words with no poset built.
+Ranks are the closure's breadth-first depth (below x: rank(x) minus it),
+which ``verify_graded`` checks against the closed form, for the tests.
 
 >>> P = build_poset("involution", 4)
 >>> len(P.elements), len(P.edges)
@@ -45,6 +45,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
+from . import wsets
 from .involutions import (
     _OPPOSITE,
     _UNSIGNED,
@@ -65,7 +66,8 @@ from .involutions import (
     rank_involution,
 )
 from .matchings import _NOT_FPF, CoverType, _cover_types
-from .permutations import Closure, Moves, Word, _add, _closure, _sweep, count_reduced_words
+from .permutations import Closure, Moves, Word, _add, _closure, _sweep, _word_text
+from .permutations import count_reduced_words
 from .wsets import WSet, wset_clan, wset_fpf, wset_involution
 
 __all__ = [
@@ -540,6 +542,11 @@ class GradedReport:
         return not self.violations
 
 
+# the failure texts that ``verify_graded`` and ``_verify_job`` share
+_RANK = "rank of {}: stored {}, formula gives {}".format
+_COUNT = "{} elements, closed form gives {}".format
+
+
 def verify_graded(P: WeakOrderPoset) -> GradedReport:
     """Check gradedness and rank bookkeeping; reports findings, never raises.
 
@@ -547,16 +554,11 @@ def verify_graded(P: WeakOrderPoset) -> GradedReport:
     of every element, that every edge raises rank by exactly 1, that the
     bottom is the unique minimum at rank 0, and, for complete posets, that
     the element count matches the closed-form family count.  The tests call
-    it on built and corrupted posets; the CLI's ``verify`` makes the same
-    checks on its walk from the bottom's word.
+    it on built and corrupted posets; ``_verify_job`` makes the rank and
+    count checks with no poset built.
     """
-    bad: list[str] = []
-    for j, e in enumerate(P.elements):
-        want = _family(P.family).rank(e)
-        if P.ranks[j] != want:
-            bad.append(
-                f"rank of {e.text()}: stored {P.ranks[j]}, formula gives {want}"
-            )
+    rank = _family(P.family).rank
+    bad = [_RANK(e.text(), r, want) for e, r in zip(P.elements, P.ranks) if r != (want := rank(e))]
     for e in P.edges:
         if P.ranks[e.hi] != P.ranks[e.lo] + 1:
             bad.append(
@@ -566,16 +568,67 @@ def verify_graded(P: WeakOrderPoset) -> GradedReport:
     minima = [j for j, below in enumerate(P.down) if not below]
     if len(minima) != 1:
         bad.append(f"{len(minima)} minimal elements, expected a unique bottom")
-    elif P.ranks[minima[0]] != 0:
-        bad.append(
-            f"bottom {P.elements[minima[0]].text()} has rank "
-            f"{P.ranks[minima[0]]}, expected 0"
-        )
-    if P.complete:
-        want = _family(P.family).count(P.param)
-        if len(P.elements) != want:
-            bad.append(f"{len(P.elements)} elements, closed form gives {want}")
+    elif (r := P.ranks[minima[0]]) != 0:
+        bad.append(f"bottom {P.elements[minima[0]].text()} has rank {r}, expected 0")
+    if P.complete and len(P.elements) != (want := _family(P.family).count(P.param)):
+        bad.append(_COUNT(len(P.elements), want))
     return GradedReport(P.family, P.param, len(P.elements), len(P.edges), tuple(bad))
+
+
+def _only(mine: tuple, theirs: tuple, side: str) -> str:
+    """How many W-set words only this side has, and up to five of them."""
+    only = sorted(set(mine) - set(theirs))
+    shown = " ".join(map(_word_text, only[:5])) + (" ..." if len(only) > 5 else "")
+    return f"{len(only)} only {side}" + (f" ({shown})" if only else "")
+
+
+def _verify_job(family: str, param: int | tuple[int, int]) -> tuple[int, int, int, list[str]]:
+    """The CLI's ``verify`` of one family poset, building none: (elements,
+    edges, W-sets that agree, failure texts: ranks, the count, then W-sets,
+    each in (rank, text) order).
+
+    Walks ``wsets._chain_products`` from the bottom's word under the family's
+    up-moves, each checked for a forbidden cover kind (RuntimeError), with
+    cyclic GC paused; checks each word's depth against its closed-form rank,
+    its direct W-set against its chain products, and the closed-form count.
+    The walk gives a unique bottom and unit rank steps.  Agreeing products
+    pass every check of ``WSet``, so the oracle's is built only on a difference.
+    """
+    fam = _FAMILY[family]
+    bottom = fam.bottom(**_named(family, param)).word
+
+    def moves(w: Word) -> Moves:
+        got = fam.up(w)
+        if fam.forbidden:
+            _cover_types(fam.forbidden, w, got)
+        return got
+
+    elements = edges = agree = 0
+    ranks, mismatches, count = [], [], fam.count(param)
+    with _gc_paused():
+        for w, depth, products, got in wsets._chain_products(bottom, moves, len(bottom)):
+            if elements > count:  # a move down would re-enter words forever
+                break
+            direct = fam.wset(x := fam.element(w))
+            elements += 1
+            edges += len({v for _, v in got})
+            if direct.rank != depth:
+                ranks.append((depth, x, direct.rank))
+            if products == set(direct.words):
+                agree += 1
+            else:
+                mismatches.append((depth, x, direct, products))
+    by_rank = lambda f: (f[0], f[1].text())
+    bad = [_RANK(x.text(), depth, want) for depth, x, want in sorted(ranks, key=by_rank)]
+    if elements != count:
+        bad.append(_COUNT(elements, count))
+    for depth, x, direct, products in sorted(mismatches, key=by_rank):
+        oracle = wsets._collect(x, depth, products).words
+        bad.append(
+            f"W-set mismatch at {x.text()}: {_only(direct.words, oracle, 'direct')}, "
+            f"{_only(oracle, direct.words, 'oracle')}"
+        )
+    return elements, edges, agree, bad
 
 
 def drop_cover_types(P: WeakOrderPoset, kinds: Iterable[CoverType]) -> WeakOrderPoset:

@@ -26,10 +26,8 @@ checks each once, in one pass, and rejects a repeat; ``members`` builds the
 ``Permutation``s when read.  ``posets.wset_direct`` picks the construction.
 ``wset_oracle`` computes the same sets by brute force over labeled chains,
 and the tests certify that each direct construction agrees with it.  The
-chain products are values carried along the chains by ``_chain_products``,
-one call of ``permutations._sweep`` (``_closure`` keeps structure): ``verify``
-runs it on words, from the bottom's, and checks an agreeing W-set's words
-once, on the direct side; ``wset_oracle`` runs it on indices.
+chain products are carried along the chains by ``_chain_products``, one
+``permutations._sweep``, on words by ``posets._verify_job``, on indices here.
 
 >>> pi = Involution.from_cycles(4, [(1, 4), (2, 3)])
 >>> [w.as_text(compact=True) for w in wset_involution(pi).members]

@@ -954,6 +954,82 @@ class TestRunVerify:
         with pytest.raises(RuntimeError, match=re.escape(error)):
             run(["verify", "--family", "fpf", "--n", "4"])
 
+    @staticmethod
+    def _patch_faults(monkeypatch) -> None:
+        """Two faults in one involution run: the bottoms of S_3 and S_4 also
+        move straight to the top, a rank early, and each top reached above
+        rank 0 loses its smallest chain product."""
+        import weakorder.wsets
+
+        tops = {(1, 2, 3): (3, 2, 1), (1, 2, 3, 4): (4, 3, 2, 1)}
+        TestRunVerify._patch_up(
+            monkeypatch, "involution", lambda w: [(1, tops[w])] if w in tops else []
+        )
+        real = weakorder.wsets._chain_products
+
+        def drop_at_tops(*args):
+            for w, depth, products, got in real(*args):
+                if depth and not got:
+                    products = set(sorted(products)[1:])
+                yield w, depth, products, got
+
+        monkeypatch.setattr(weakorder.wsets, "_chain_products", drop_at_tops)
+
+    @pytest.mark.parametrize(
+        "flags, out, err",
+        [
+            (
+                [],
+                "993451fcd9cec5f55a46de72c2078c4fb8570a9f81d7c2b4cb02b095841e75cf",
+                "69eff899eee5a315ac181502cf614bed7ea712625a4a066843b3b93114f7cf86",
+            ),
+            (
+                ["--json"],
+                "0e26bdbf6ad184daf27c7c22c6b01dfa7aeb70e529dd6ea22cff3ef53f522460",
+                # nothing: the failures are in the JSON
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+        ],
+        ids=["plain", "json"],
+    )
+    def test_failing_output_frozen(self, capsys, monkeypatch, flags, out, err) -> None:
+        # a rank failure, a count failure and W-set mismatches in two jobs,
+        # and a mismatch alone in a third: the whole output, byte for byte
+        self._patch_faults(monkeypatch)
+        assert run(["verify", "--family", "inv", "--n", "4", *flags]) == 1
+        captured = capsys.readouterr()
+        digest = [hashlib.sha256(s.encode()).hexdigest() for s in captured]
+        assert digest == [out, err]
+
+    def test_job_function_is_the_json_job(self, capsys) -> None:
+        # every job of a bare verify, at the default caps, as the library
+        # function returns it: the same counts and no failure
+        from weakorder.posets import _verify_job
+
+        assert run(["verify", "--json"]) == 0
+        jobs = json.loads(capsys.readouterr().out)["jobs"]
+        assert len(jobs) == 6 + 4 + 15
+        for job in jobs:
+            values = tuple(job["params"].values())
+            got = _verify_job(job["family"], values[0] if len(values) == 1 else values)
+            assert got == (job["elements"], job["edges"], job["agree"], [])
+
+    def test_job_function_failures_are_the_cli_lines(self, capsys, monkeypatch) -> None:
+        # under the rank-skipping and dropped-product faults, the CLI writes
+        # the function's failures, each after its job's head
+        from weakorder.posets import _verify_job
+
+        self._patch_faults(monkeypatch)
+        assert run(["verify", "--family", "inv", "--n", "4"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        want = [
+            f"verification failure: involution n={n}: {line}"
+            for n in range(1, 5)
+            for line in _verify_job("involution", n)[3]
+        ]
+        assert err == want
+        assert any("rank of" in line for line in err)
+
     def test_traced_peak_at_involution_n9(self, capsys) -> None:
         # two ranks of words and products are held, no poset: building each
         # poset first peaked at 5.97 MB here

@@ -52,6 +52,21 @@ def test_imports_follow_the_layers(name: str) -> None:
     assert not bad, f"{name} imports a later layer: {bad}"
 
 
+def test_cli_leaves_the_verify_walk_to_posets() -> None:
+    # verify's walk and check live in posets._verify_job; cli plans the
+    # jobs and prints them, and imports none of the walk's parts
+    path = pathlib.Path(importlib.import_module("weakorder").__file__).parent / "cli.py"
+    bad = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = {a.name for a in node.names}
+            if node.module is None and "wsets" in names:
+                bad.append(f"line {node.lineno}: from . import wsets")
+            parts = names & {"_cover_types", "_gc_paused", "_Family"}
+            bad += [f"line {node.lineno}: {n}" for n in sorted(parts)]
+    assert not bad, f"cli imports parts of verify's walk: {bad}"
+
+
 def test_no_assert_statements() -> None:
     # python -O strips asserts, so a check written as one silently vanishes
     root = pathlib.Path(importlib.import_module("weakorder").__file__).parent
