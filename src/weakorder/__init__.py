@@ -28,7 +28,6 @@ from .involutions import (
     rank_involution,
     rs_step_fpf,
     rs_step_involution,
-    standard_form,
 )
 from .matchings import (
     CoverType,
@@ -112,7 +111,6 @@ __all__ = [
     "rank_involution",
     "rs_step_fpf",
     "rs_step_involution",
-    "standard_form",
     "upward_covers_clan",
     "upward_covers_fpf",
     "upward_covers_involution",

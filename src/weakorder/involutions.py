@@ -15,7 +15,7 @@ is p*q minus the involution rank.  ``rs_step_involution`` / ``rs_step_fpf``
 take the monoid step at one label from ``_lengthen``; it either fixes the
 element or raises its rank by exactly 1.
 
->>> pi = standard_form(Permutation((3, 4, 1, 2)))
+>>> pi = Involution((3, 4, 1, 2))
 >>> pi.cycles
 ((1, 3), (2, 4))
 >>> rank_involution(pi)
@@ -28,13 +28,12 @@ from dataclasses import dataclass
 from math import comb, prod
 from typing import Iterable
 
-from .permutations import Permutation, _inversions, identity
+from .permutations import _permutation_inversions
 
 __all__ = [
     "Involution",
     "FpfInvolution",
     "Clan",
-    "standard_form",
     "rank_involution",
     "rank_fpf",
     "rank_clan",
@@ -124,9 +123,6 @@ class Involution(_Element):
     def num_cycles(self) -> int:
         return sum(v > i for i, v in enumerate(self.word, 1))
 
-    def as_permutation(self) -> Permutation:
-        return Permutation(self.word)
-
     def image(self, i: int) -> int:
         if not 1 <= i <= len(self.word):
             raise ValueError(f"position {i} out of range 1..{len(self.word)}")
@@ -210,23 +206,14 @@ class Clan(_Element):
         ])
 
 
-def standard_form(u: Permutation) -> Involution:
-    """The involution whose one-line word is u's; ValueError if u is none.
-
-    >>> standard_form(Permutation((4, 3, 2, 1))).cycles
-    ((1, 4), (2, 3))
-    """
-    return Involution(u.word)
-
-
 def rank_involution(pi: Involution) -> int:
-    """(length + number of two-cycles) / 2; the weak-order rank, read off
-    the word, which its constructor checked: no ``Permutation`` is built.
+    """(length + number of two-cycles) / 2; the weak-order rank, the length
+    read off the word by ``_permutation_inversions``: no ``Permutation`` is built.
 
     >>> rank_involution(Involution.from_cycles(4, [(1, 4), (2, 3)]))
     4
     """
-    return (_inversions(pi.word) + pi.num_cycles) // 2
+    return (_permutation_inversions(pi.word, pi.n) + pi.num_cycles) // 2
 
 
 def rank_fpf(pi: FpfInvolution) -> int:
@@ -237,18 +224,19 @@ def rank_fpf(pi: FpfInvolution) -> int:
     >>> rank_fpf(FpfInvolution.from_cycles(6, [(1, 6), (2, 5), (3, 4)]))
     6
     """
-    return (_inversions(pi.word) - len(pi.word) // 2) // 2
+    return (_permutation_inversions(pi.word, pi.n) - pi.n // 2) // 2
 
 
 def rank_clan(pi: Clan) -> int:
     """p*q minus the all-involutions rank of the underlying involution, read
-    off the word's absolute values: no ``Involution`` is built or checked.
+    off the word's absolute values: no ``Involution`` is built.
 
     The clan order runs opposite to the involution order, so shortening
     moves go up and the unique bottom has rank 0.
     """
     cycles = sum(v > i for i, v in enumerate(pi.word, 1))
-    return pi.p * pi.q - (_inversions(map(abs, pi.word)) + cycles) // 2
+    inversions = _permutation_inversions(tuple(map(abs, pi.word)), pi.n)
+    return pi.p * pi.q - (inversions + cycles) // 2
 
 
 # the sign pairs (at i, i+1) a strand {i, i+1} attaches on and detaches into:
@@ -325,7 +313,7 @@ def _rs_step(name: str, kind: type, i: int, pi: Involution) -> Involution:
 def rs_step_involution(i: int, pi: Involution) -> Involution:
     """One monoid step at i: the unique cover of pi along label i, or pi itself.
 
-    >>> rs_step_involution(1, standard_form(identity(4))).cycles
+    >>> rs_step_involution(1, bottom_involution(4)).cycles
     ((1, 2),)
     """
     return _rs_step("rs_step_involution", Involution, i, pi)

@@ -27,7 +27,7 @@ chains, two ranks at a time (path counts, label words, chain products).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator
+from typing import Callable, Hashable, Iterator
 
 __all__ = [
     "Permutation",
@@ -67,11 +67,9 @@ class Permutation:
     word: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.word)
-        if n == 0:
+        if not self.word:
             raise ValueError("empty permutation: n must be at least 1")
-        if sorted(self.word) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.word}")
+        _permutation_inversions(self.word, len(self.word))
 
     @property
     def n(self) -> int:
@@ -174,23 +172,15 @@ def length(u: Permutation) -> int:
     >>> length(identity(5)), length(longest_element(4))
     (0, 6)
     """
-    return _inversions(u.word)
-
-
-def _inversions(word: Iterable[int]) -> int:
-    """Inversions of a word of distinct positive values: each value v meets
-    the larger values already seen, the bits above v of a mask of them."""
-    seen = 0
-    inversions = 0
-    for v in word:
-        inversions += (seen >> v).bit_count()
-        seen |= 1 << v
-    return inversions
+    return _permutation_inversions(u.word, u.n)
 
 
 def _permutation_inversions(word: Word, n: int) -> int:
-    """``_inversions``, in a pass that checks the word is a permutation of 1..n:
-    n values, each in range before it is shifted, whose mask is bits 1..n."""
+    """The inversions of ``word``, in the one pass of the package that checks
+    a word is a permutation of 1..n: n values, each in range before it is
+    shifted, whose mask is bits 1..n.  Each value v meets the larger values
+    already seen, the bits above v of the mask.  A non-integer value in
+    range raises TypeError at its shift."""
     seen = inversions = 0
     for v in word:
         if not 0 < v <= n:
@@ -211,17 +201,15 @@ def _word_text(word: Word, compact: bool = False) -> str:
 
 
 def left_descents(u: Permutation) -> set[int]:
-    """All j with length(s_j o u) < length(u).
-
-    Equivalently, all j such that j+1 occurs before j in the one-line word.
+    """All j with length(s_j o u) < length(u): the labels ``_peel`` reads off
+    u's word, where j+1 occurs before j.
 
     >>> sorted(left_descents(Permutation((2, 3, 4, 1))))
     [1]
     >>> left_descents(identity(3))
     set()
     """
-    pos = u.inverse().word
-    return {j for j in range(1, u.n) if pos[j] < pos[j - 1]}
+    return {j for j, _ in _peel(u.word)}
 
 
 def apply_simple_left(i: int, u: Permutation) -> Permutation:

@@ -39,7 +39,6 @@ from weakorder import (
     rank_involution,
     rs_step_fpf,
     rs_step_involution,
-    standard_form,
     upward_covers_clan,
     upward_covers_fpf,
     upward_covers_involution,
@@ -98,10 +97,10 @@ class TestConstruction:
 
     @given(involutions())
     def test_permutation_image_is_self_inverse(self, pi: Involution) -> None:
-        u = pi.as_permutation()
+        u = Permutation(pi.word)
         assert compose(u, u) == identity(pi.n)
         assert all(pi.image(pi.image(i)) == i for i in range(1, pi.n + 1))
-        assert standard_form(u) == pi
+        assert Involution(u.word) == pi
 
     def test_image_reads_the_word(self) -> None:
         pi = Involution.from_cycles(5, [(1, 3), (2, 5)])
@@ -112,13 +111,13 @@ class TestConstruction:
 
     def test_standard_form_rejects_non_involution(self) -> None:
         with pytest.raises(ValueError):
-            standard_form(Permutation((2, 3, 1)))
+            Involution(Permutation((2, 3, 1)).word)
 
 
 class TestRanks:
     @given(involutions())
     def test_involution_rank_formula(self, pi: Involution) -> None:
-        assert rank_involution(pi) == (length(pi.as_permutation()) + pi.num_cycles) // 2
+        assert rank_involution(pi) == (length(Permutation(pi.word)) + pi.num_cycles) // 2
 
     def test_frozen_rank(self) -> None:
         assert rank_involution(Involution.from_cycles(5, [(1, 3), (2, 5)])) == 4
@@ -204,13 +203,13 @@ class TestCounts:
 def literal_step(i: int, pi: Involution) -> Involution:
     """The monoid step spelled out with full permutation arithmetic."""
     s = simple_transposition(i, pi.n)
-    u = pi.as_permutation()
+    u = Permutation(pi.word)
     conj = compose(s, compose(u, s))
     if length(conj) > length(u):
-        return standard_form(conj)
+        return Involution(conj.word)
     left = compose(s, u)
     if conj == u and length(left) > length(u):
-        return standard_form(left)
+        return Involution(left.word)
     return pi
 
 
@@ -302,7 +301,7 @@ def reference_moves(i: int, x: "Involution | Clan", up: bool) -> list:
     with its fixed point under s_i.
     """
     clan = isinstance(x, Clan)
-    u = (x.underlying_involution() if clan else x).as_permutation()
+    u = Permutation((x.underlying_involution() if clan else x).word)
     signs = dict(x.signed_fixed_points) if clan else {}
     cycles = {(a, u(a)) for a in range(1, x.n + 1) if u(a) > a}
     lengthen = up != clan
@@ -521,7 +520,7 @@ def _dump(x: "Involution | Clan") -> str:
         extra = f" {rank_fpf(x)} {x.as_involution().text()}"
     return (
         f"{type(x).__name__} {x.n} {x.cycles} {x.fixed_points} {x.num_cycles} "
-        f"{x.text()} {rank_involution(x)} {x.as_permutation().word} "
+        f"{x.text()} {rank_involution(x)} {Permutation(x.word).word} "
         f"{tuple(x.image(i) for i in range(1, x.n + 1))}{extra}"
     )
 

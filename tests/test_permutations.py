@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 import time
 import tracemalloc
 import weakref
@@ -57,6 +58,20 @@ class TestBasics:
             Permutation((1, 1, 3))
         with pytest.raises(ValueError):
             Permutation((0, 1))
+
+    def test_rejection_messages(self) -> None:
+        for word in [(1, 1, 3), (0, 1), (1, 2, 4), (2, 3, 1, 2)]:
+            want = rf"^not a permutation of 1\.\.{len(word)}: {re.escape(str(word))}$"
+            with pytest.raises(ValueError, match=want):
+                Permutation(word)
+        with pytest.raises(ValueError, match=r"^empty permutation: n must be at least 1$"):
+            Permutation(())
+
+    def test_rejects_non_integer_values(self) -> None:
+        # 2.0 == 2 and 1.0 == 1, so a sorted compare with 1..n takes this
+        # word for a permutation; it is refused as it is built
+        with pytest.raises(TypeError):
+            Permutation((2.0, 1.0))
 
     @given(perms(), perms())
     def test_compose_convention(self, u: Permutation, v: Permutation) -> None:

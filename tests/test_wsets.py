@@ -34,7 +34,8 @@ from weakorder import (
     wset_oracle,
     wstar,
 )
-from weakorder.permutations import compose, evaluate_word, length
+from weakorder.permutations import _peel, compose, evaluate_word, length
+from weakorder.posets import _FAMILY
 
 
 def inv(n: int, *cycles: tuple[int, int]) -> Involution:
@@ -621,6 +622,39 @@ class TestOracleAgreement:
         assert run(["wset", "--family", family, *args]) == 0
         capsys.readouterr()
         assert calls == [x, x]
+
+
+class TestLocalCertificate:
+    """The direct W-sets agree with the down-covers at every element.  With
+    the bottom's W-set {e}, induction up the ranks then makes each the set of
+    its chain products, with no chain walked: each label has at most one
+    down-cover (i, x'), W(x') is the members of W(x) with i as a left
+    descent, i peeled off, and no member has another left descent."""
+
+    @pytest.mark.parametrize(
+        "family, param",
+        [("involution", n) for n in range(1, 8)]
+        + [("fpf", n) for n in (2, 4, 6, 8)]
+        + [("clan", (p, t - p)) for t in range(2, 7) for p in range(1, t)],
+    )
+    def test_wsets_peel_along_down_covers(self, family: str, param) -> None:
+        fam = _FAMILY[family]
+        wsets = {
+            x.word: set(wset_direct(family, x).words)
+            for x in build_poset(family, param).elements
+        }
+        for word, members in wsets.items():
+            where = fam.element(word).text()
+            down = fam.down(word)
+            labels = [i for i, _ in down]
+            assert len(labels) == len(set(labels)), f"{where}: two down-covers share a label"
+            peeled: dict[int, set] = {}
+            for w in members:
+                for j, v in _peel(w):
+                    peeled.setdefault(j, set()).add(v)
+            assert set(peeled) <= set(labels), f"{where}: a member descends at no down-label"
+            for i, lower in down:
+                assert wsets[lower] == peeled.get(i, set()), f"{where}: label {i}"
 
 
 class TestClanSymmetry:
