@@ -16,6 +16,7 @@ Quick tour:
 10
 """
 
+from . import matchings, posets, wsets
 from .involutions import (
     Clan,
     FpfInvolution,
@@ -29,96 +30,28 @@ from .involutions import (
     rs_step_fpf,
     rs_step_involution,
 )
-from .matchings import (
-    CoverType,
-    crossings,
-    downward_covers_clan,
-    downward_covers_fpf,
-    downward_covers_involution,
-    matching_length,
-    nestings,
-    upward_covers_clan,
-    upward_covers_fpf,
-    upward_covers_involution,
-)
+from .matchings import *
 from .permutations import Permutation, ReducedWord
-from .posets import (
-    FAMILIES,
-    Edge,
-    Element,
-    GradedReport,
-    LabeledChain,
-    WeakOrderPoset,
-    bottom_element,
-    build_lower_interval,
-    build_poset,
-    chain_count_identity,
-    count_chains_below,
-    count_maximal_chains,
-    drop_cover_types,
-    lower_interval,
-    maximal_chains,
-    verify_graded,
-    wset_direct,
-)
-from .wsets import (
-    WSet,
-    check_conditions_involution,
-    wset_clan,
-    wset_fpf,
-    wset_involution,
-    wset_oracle,
-    wstar,
-)
+from .posets import *
+from .wsets import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Clan",
-    "CoverType",
-    "Edge",
-    "Element",
-    "FAMILIES",
     "FpfInvolution",
-    "GradedReport",
     "Involution",
-    "LabeledChain",
     "Permutation",
     "ReducedWord",
-    "WSet",
-    "WeakOrderPoset",
-    "bottom_element",
-    "build_lower_interval",
-    "build_poset",
-    "chain_count_identity",
-    "check_conditions_involution",
     "clan_count",
-    "count_chains_below",
-    "count_maximal_chains",
-    "crossings",
-    "downward_covers_clan",
-    "downward_covers_fpf",
-    "downward_covers_involution",
-    "drop_cover_types",
     "fpf_count",
     "involution_count",
-    "lower_interval",
-    "matching_length",
-    "maximal_chains",
-    "nestings",
     "rank_clan",
     "rank_fpf",
     "rank_involution",
     "rs_step_fpf",
     "rs_step_involution",
-    "upward_covers_clan",
-    "upward_covers_fpf",
-    "upward_covers_involution",
-    "verify_graded",
-    "wset_clan",
-    "wset_direct",
-    "wset_fpf",
-    "wset_involution",
-    "wset_oracle",
-    "wstar",
 ]
+__all__ += matchings.__all__
+__all__ += posets.__all__
+__all__ += wsets.__all__

@@ -9,11 +9,13 @@ read off the word, and ``from_cycles`` / ``from_parts`` build it.
 
 All three weak orders come from one monoid action on involutions, and their
 covers are two loops on the word: ``_lengthen`` raises the underlying
-involution one rank step, ``_shorten`` lowers it.  Involutions and fpf
-involutions go up by lengthening; clans go up by shortening, as rank_clan
-is p*q minus the involution rank.  ``rs_step_involution`` / ``rs_step_fpf``
-take the monoid step at one label from ``_lengthen``; it either fixes the
-element or raises its rank by exactly 1.
+involution one rank step, ``_shorten`` lowers it.  ``_MOVES``, the one move
+declaration, gives each element type its (up, down) moves, a sign pair set
+and a direction: involutions and fpf involutions go up by lengthening;
+clans go up by shortening, as rank_clan is p*q minus the involution rank.
+``rs_step_involution`` / ``rs_step_fpf`` take the monoid step at one label
+from the type's up-move; it either fixes the element or raises its rank by
+exactly 1.
 
 >>> pi = Involution((3, 4, 1, 2))
 >>> pi.cycles
@@ -25,6 +27,7 @@ element or raises its rank by exactly 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import comb, prod
 from typing import Iterable
 
@@ -50,14 +53,16 @@ __all__ = [
 
 def _check(x: "Involution | Clan") -> None:
     """Raise ValueError unless x.word is the word of an involution of 1..n,
-    n >= 1, in one pass: a fixed point i reads a sign v // i of ``x._SIGNS``,
-    any other entry v lies in 1..n and maps back, word[v] = i."""
+    n >= 1, in one pass: a fixed point i reads v = i or -i whose sign v // i
+    indexes a true entry of ``x._SIGNS``, so a float there raises TypeError,
+    as one in 1..n elsewhere does at word[v - 1]; any other entry v lies in
+    1..n and maps back, word[v] = i."""
     word, signs, n = x.word, x._SIGNS, len(x.word)
     if not n:
         raise ValueError("n must be at least 1, got 0")
     for i, v in enumerate(word, 1):
         if v == i or v == -i:
-            if v // i in signs:
+            if signs[v // i]:
                 continue
         elif 0 < v <= n:
             if word[v - 1] == i:
@@ -107,8 +112,8 @@ class Involution(_Element):
 
     word: tuple[int, ...]
 
-    # the signs a fixed point i may read, as word[i] // i
-    _SIGNS = (1,)
+    # whether a fixed point i may read i ([1]) or -i ([-1]), indexed by its sign
+    _SIGNS = (False, True, False)
 
     @classmethod
     def from_cycles(cls, n: int, cycles: Iterable[tuple[int, int]]) -> "Involution":
@@ -137,7 +142,7 @@ class FpfInvolution(Involution):
     """An involution without fixed points; n must be even."""
 
     __slots__ = ()
-    _SIGNS = ()
+    _SIGNS = (False, False, False)
 
     def as_involution(self) -> Involution:
         """The same element viewed in the poset of all involutions."""
@@ -154,7 +159,7 @@ class Clan(_Element):
 
     word: tuple[int, ...]
 
-    _SIGNS = (1, -1)
+    _SIGNS = (False, True, True)
 
     def __post_init__(self) -> None:
         _check(self)
@@ -195,9 +200,6 @@ class Clan(_Element):
     def q(self) -> int:
         return len(self.word) - self.p
 
-    def underlying_involution(self) -> Involution:
-        return Involution(tuple(map(abs, self.word)))
-
     def text(self) -> str:
         """Cycle notation with every vertex present, signs on one-cycles."""
         return "".join([
@@ -237,12 +239,6 @@ def rank_clan(pi: Clan) -> int:
     cycles = sum(v > i for i, v in enumerate(pi.word, 1))
     inversions = _permutation_inversions(tuple(map(abs, pi.word)), pi.n)
     return pi.p * pi.q - (inversions + cycles) // 2
-
-
-# the sign pairs (at i, i+1) a strand {i, i+1} attaches on and detaches into:
-# involutions take _UNSIGNED, fpf involutions none, clans _OPPOSITE
-_UNSIGNED = ((1, 1),)
-_OPPOSITE = ((1, -1), (-1, 1))
 
 
 def _lengthen(pairs: tuple, m: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
@@ -294,6 +290,18 @@ def _conjugate(i: int, m: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+# the sign pairs (at i, i+1) a strand {i, i+1} attaches on and detaches into
+_UNSIGNED = ((1, 1),)
+_OPPOSITE = ((1, -1), (-1, 1))
+
+# each element type's (up, down) cover moves, the one place they are written
+_MOVES = {
+    Involution: (partial(_lengthen, _UNSIGNED), partial(_shorten, _UNSIGNED)),
+    FpfInvolution: (partial(_lengthen, ()), partial(_shorten, ())),
+    Clan: (partial(_shorten, _OPPOSITE), partial(_lengthen, _OPPOSITE)),
+}
+
+
 def _require(what: str, kind: type, x: object, exact: bool = False) -> None:
     """Raise ValueError unless x is a ``kind``, exactly that type if ``exact``."""
     if (type(x) is not kind) if exact else not isinstance(x, kind):
@@ -307,7 +315,7 @@ def _rs_step(name: str, kind: type, i: int, pi: Involution) -> Involution:
     _require(name, kind, pi)
     if not 1 <= i <= pi.n - 1:
         raise ValueError(f"step index {i} out of range 1..{pi.n - 1}")
-    return kind(dict(_lengthen(_UNSIGNED, pi.word)).get(i, pi.word))
+    return kind(dict(_MOVES[kind][0](pi.word)).get(i, pi.word))
 
 
 def rs_step_involution(i: int, pi: Involution) -> Involution:

@@ -9,16 +9,9 @@ when a < c < d < b.  The rank of the corresponding involution equals the
 total strand length minus the number of crossings.
 
 The covers are computed on the elements' one-line words (``x.word``; a
-clan's minus-signed fixed point v reads -v) by the two loops of the
-involutions module; this module has none of its own:
-
-- involutions and fpf involutions: up-covers ``_lengthen`` (the monoid step:
-  attach the strand {i, i+1} on two fixed points, only for involutions, or
-  conjugate by s_i at any other ascent), down-covers ``_shorten`` (detach
-  it, or conjugate at a descent);
-- clans run the other way: up-covers ``_shorten``, detaching the strand
-  into the signed fixed points (+,-) then (-,+) under one label, down-covers
-  ``_lengthen``, attaching only opposite signs; signs ride under s_i.
+clan's minus-signed fixed point v reads -v) by ``involutions._MOVES``, the
+one declaration of each element type's up- and down-moves; this module has
+none of its own.
 
 On the matching, each move is a local surgery at the vertices i, i+1, and
 ``_cover_type`` names it from the lower word: lengthen a strand onto an
@@ -28,8 +21,8 @@ isolated vertices (II).  Fixed-point-free covers are of types IB/IC
 only; clan covers are the opposite surgeries (shorten, uncross to disjoint,
 nest to crossing, detach), as the clan order runs against the involution
 order.  The public ``upward_covers_*`` and ``downward_covers_*`` are
-named witnesses of the moves the program takes from the ``posets._FAMILY``
-rows: ``up`` in ``build_poset`` and ``verify``, ``down`` in
+named witnesses of the ``_MOVES`` that the ``posets._FAMILY`` rows hold:
+``up`` in ``build_poset`` and ``verify``, ``down`` in
 ``count_chains_below`` and ``build_lower_interval``.  ``upward_covers_*``
 build each upper word into the family's element type, which checks it.
 
@@ -41,19 +34,8 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from functools import partial
-from typing import Callable
 
-from .involutions import (
-    _OPPOSITE,
-    _UNSIGNED,
-    Clan,
-    FpfInvolution,
-    Involution,
-    _lengthen,
-    _require,
-    _shorten,
-)
+from .involutions import _MOVES, Clan, FpfInvolution, Involution, _require
 
 __all__ = [
     "CoverType",
@@ -151,11 +133,11 @@ def _cover_types(
     return kinds
 
 
-def _covers_of(family: str, kind: type, up: Callable, forbid: tuple, x: Involution | Clan) -> list:
-    """The up-covers of x, exactly a ``kind``, as (label, upper, type)."""
+def _covers_of(family: str, kind: type, forbid: tuple, x: Involution | Clan) -> list:
+    """The up-covers of x, exactly a ``kind``, by its ``_MOVES``, as (label, upper, type)."""
     _require(f"family {family!r}", kind, x, exact=True)
     w = x.word
-    moves = up(w)
+    moves = _MOVES[kind][0](w)
     kinds = _cover_types(forbid, w, moves)
     return [(i, kind(v), t) for (i, v), t in zip(moves, kinds)]
 
@@ -166,13 +148,13 @@ def upward_covers_involution(x: Involution) -> list[tuple[int, Involution, Cover
     Named witness of ``_FAMILY["involution"].up``, checked by
     ``test_covers_are_the_reference_moves``; several labels may reach one upper involution.
     """
-    return _covers_of("involution", Involution, partial(_lengthen, _UNSIGNED), (), x)
+    return _covers_of("involution", Involution, (), x)
 
 
 def upward_covers_fpf(x: FpfInvolution) -> list[tuple[int, FpfInvolution, CoverType]]:
     """Covers in the fixed-point-free order; only types IB, IC1, IC2 occur.
     Named witness of ``_FAMILY["fpf"].up``, checked by ``test_covers_are_the_reference_moves``."""
-    return _covers_of("fpf", FpfInvolution, partial(_lengthen, ()), _NOT_FPF, x)
+    return _covers_of("fpf", FpfInvolution, _NOT_FPF, x)
 
 
 def upward_covers_clan(x: Clan) -> list[tuple[int, Clan, CoverType]]:
@@ -183,7 +165,7 @@ def upward_covers_clan(x: Clan) -> list[tuple[int, Clan, CoverType]]:
     clan rank p*q - rank rises by exactly 1.  A type II move on the strand
     {i, i+1} yields two covers under the same label, one per sign order.
     """
-    return _covers_of("clan", Clan, partial(_shorten, _OPPOSITE), (), x)
+    return _covers_of("clan", Clan, (), x)
 
 
 def downward_covers_involution(w: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
@@ -194,14 +176,14 @@ def downward_covers_involution(w: tuple[int, ...]) -> list[tuple[int, tuple[int,
     >>> downward_covers_involution((4, 3, 2, 1))
     [(1, (3, 4, 1, 2)), (2, (4, 2, 3, 1)), (3, (3, 4, 1, 2))]
     """
-    return _shorten(_UNSIGNED, w)
+    return _MOVES[Involution][1](w)
 
 
 def downward_covers_fpf(w: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
     """Inverse of ``upward_covers_fpf``: conjugate by s_i at a descent that
     is not the strand {i, i+1}.  Named witness of ``_FAMILY["fpf"].down``,
     checked by ``test_down_covers_invert_up_covers``."""
-    return _shorten((), w)
+    return _MOVES[FpfInvolution][1](w)
 
 
 def downward_covers_clan(w: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
@@ -215,4 +197,4 @@ def downward_covers_clan(w: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]
     >>> downward_covers_clan((1, -2, 4, 3))
     [(1, (2, 1, 4, 3)), (2, (1, 4, -3, 2))]
     """
-    return _lengthen(_OPPOSITE, w)
+    return _MOVES[Clan][1](w)

@@ -2,10 +2,10 @@
 
 One breadth-first closure on one-line words, ``permutations._closure``,
 builds every poset: from the bottom's word under the family's up-covers, or
-from x's word under the down-covers for [bottom, x] alone (see the matchings
-module).  Each word becomes an element, checked once, with its text, kept
-on the poset for the exports, and each cover label is classified by
-``matchings._cover_types``, once the closure is done.
+from x's word under the down-covers for [bottom, x] alone (both read from
+``involutions._MOVES``).  Each word becomes an element, checked once, with
+its text, kept on the poset for the exports, and each cover label is
+classified by ``matchings._cover_types``, once the closure is done.
 Elements are sorted by (rank, text), so indices are stable and
 rank-monotone: every edge points from a lower index to a strictly higher
 one, and dynamic programs can sweep the element list in order.  The
@@ -42,19 +42,16 @@ from __future__ import annotations
 import gc
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 from . import wsets
 from .involutions import (
-    _OPPOSITE,
-    _UNSIGNED,
+    _MOVES,
     Clan,
     FpfInvolution,
     Involution,
-    _lengthen,
     _require,
-    _shorten,
     bottom_clan,
     bottom_fpf,
     bottom_involution,
@@ -116,17 +113,17 @@ class _Family:
 # lambdas look each wset_* up in this module per call, so wrappers set there apply
 _FAMILY = {
     "involution": _Family(
-        Involution, partial(_lengthen, _UNSIGNED), partial(_shorten, _UNSIGNED), rank_involution,
+        Involution, *_MOVES[Involution], rank_involution,
         lambda x: wset_involution(x), involution_count, lambda x: x.n, lambda n: [n],
         bottom_involution, ("n",), "involution n={n}", "implicit", (), 6,
     ),
     "fpf": _Family(
-        FpfInvolution, partial(_lengthen, ()), partial(_shorten, ()), rank_fpf,
+        FpfInvolution, *_MOVES[FpfInvolution], rank_fpf,
         lambda x: wset_fpf(x), fpf_count, lambda x: x.n, lambda n: [n] if n % 2 == 0 else [],
         bottom_fpf, ("n",), "fpf n={n}", "absent", _NOT_FPF, 8,
     ),
     "clan": _Family(
-        Clan, partial(_shorten, _OPPOSITE), partial(_lengthen, _OPPOSITE), rank_clan,
+        Clan, *_MOVES[Clan], rank_clan,
         lambda x: wset_clan(x), lambda pq: clan_count(*pq), lambda x: (x.p, x.q),
         lambda n: [(p, n - p) for p in range(1, n)],
         bottom_clan, ("p", "q"), "clan (p,q)=({p},{q})", "signed", (), 6,
@@ -595,7 +592,7 @@ def _verify_job(family: str, param: int | tuple[int, int]) -> tuple[int, int, in
     pass every check of ``WSet``, so the oracle's is built only on a difference.
     """
     fam = _FAMILY[family]
-    bottom = fam.bottom(**_named(family, param)).word
+    bottom = bottom_element(family, param).word
 
     def moves(w: Word) -> Moves:
         got = fam.up(w)

@@ -52,6 +52,43 @@ def test_imports_follow_the_layers(name: str) -> None:
     assert not bad, f"{name} imports a later layer: {bad}"
 
 
+def _names(path: pathlib.Path) -> set[str]:
+    """Every name the module at path binds, reads or imports, and every
+    string constant in it."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_moves_and_exports_written_once() -> None:
+    # the word moves and their sign pairs are declared in involutions alone,
+    # in its _MOVES table; and __init__ re-exports matchings, posets and
+    # wsets by their own __all__, naming none of their members again
+    root = pathlib.Path(importlib.import_module("weakorder").__file__).parent
+    moves = {"_lengthen", "_shorten", "_UNSIGNED", "_OPPOSITE"}
+    bad = {
+        path.name: sorted(moves & _names(path))
+        for path in sorted(root.glob("*.py"))
+        if path.name != "involutions.py" and moves & _names(path)
+    }
+    assert not bad, f"the word moves are named outside involutions: {bad}"
+    exported = {
+        n
+        for m in ("matchings", "posets", "wsets")
+        for n in importlib.import_module(f"weakorder.{m}").__all__
+    }
+    again = sorted(exported & _names(root / "__init__.py"))
+    assert not again, f"__init__ names members of a module's __all__: {again}"
+
+
 def test_cli_leaves_the_verify_walk_to_posets() -> None:
     # verify's walk and check live in posets._verify_job; cli plans the
     # jobs and prints them, and imports none of the walk's parts

@@ -87,7 +87,7 @@ class TestConstruction:
         pi = Clan.from_parts(7, [(1, 6), (2, 3)], {4: 1, 5: -1, 7: 1})
         assert pi.text() == "(1,6)(2,3)(4+)(5-)(7+)"
         assert (pi.p, pi.q) == (4, 3)
-        assert pi.underlying_involution() == Involution.from_cycles(7, [(1, 6), (2, 3)])
+        assert Involution(tuple(map(abs, pi.word))) == Involution.from_cycles(7, [(1, 6), (2, 3)])
 
     def test_clan_needs_signs_on_every_fixed_point(self) -> None:
         with pytest.raises(ValueError):
@@ -132,7 +132,8 @@ class TestRanks:
     def test_clan_rank_complements_underlying(self) -> None:
         for p, q in [(1, 1), (2, 1), (2, 2), (3, 2)]:
             for pi in brute_clans(p, q):
-                assert rank_clan(pi) == p * q - rank_involution(pi.underlying_involution())
+                under = Involution(tuple(map(abs, pi.word)))
+                assert rank_clan(pi) == p * q - rank_involution(under)
 
     def test_bottoms_have_rank_zero(self) -> None:
         assert rank_involution(bottom_element("involution", 5)) == 0
@@ -301,7 +302,7 @@ def reference_moves(i: int, x: "Involution | Clan", up: bool) -> list:
     with its fixed point under s_i.
     """
     clan = isinstance(x, Clan)
-    u = Permutation((x.underlying_involution() if clan else x).word)
+    u = Permutation((Involution(tuple(map(abs, x.word))) if clan else x).word)
     signs = dict(x.signed_fixed_points) if clan else {}
     cycles = {(a, u(a)) for a in range(1, x.n + 1) if u(a) > a}
     lengthen = up != clan
@@ -486,6 +487,19 @@ def test_validation_rejects(make, error) -> None:
     assert str(raised.value) == error
 
 
+@pytest.mark.parametrize("make, word", [
+    (Involution, (1.0, 2)),
+    (Involution, (2, 1, 3.0)),
+    (Clan, (1.0, -2.0)),
+    (Clan, (2, 1, -3.0)),
+])
+def test_rejects_non_integer_fixed_points(make, word) -> None:
+    # 1.0 == 1 and 1.0 // 1 == 1, so a float fixed point would pass as an
+    # integer one; the element would hash as one and fail later, in a rank
+    with pytest.raises(TypeError):
+        make(word)
+
+
 def test_validation_survives_python_O() -> None:
     # asserts are stripped under -O; each check must be a real raise
     code = (
@@ -513,7 +527,7 @@ def _dump(x: "Involution | Clan") -> str:
     if isinstance(x, Clan):
         return (
             f"Clan {x.n} {x.cycles} {x.signed_fixed_points} {x.p} {x.q} "
-            f"{x.text()} {rank_clan(x)} {x.underlying_involution().text()}"
+            f"{x.text()} {rank_clan(x)} {Involution(tuple(map(abs, x.word))).text()}"
         )
     extra = ""
     if isinstance(x, FpfInvolution):
