@@ -5,7 +5,7 @@ Subcommands:
 - ``wset``: print the W-set of an element, one permutation per line or JSON;
 - ``chains``: enumerate (or just count) the labeled maximal chains from the
   bottom element up to a given element, exploring only that interval;
-- ``hasse``: print a whole poset as DOT (default) or JSON;
+- ``hasse``: print a whole poset as DOT (default) or JSON, in bounded pieces;
 - ``verify``: check every poset up to a size cap by ``posets._verify_job``;
 - ``rank``: print the rank of an element.
 
@@ -30,6 +30,7 @@ import sys
 from bisect import bisect_left
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
+from typing import Iterable, Iterator
 
 from .matchings import CoverType
 from .permutations import _word_text
@@ -133,35 +134,61 @@ def _numerals(P: WeakOrderPoset) -> list[str]:
     return list(map(str, range(max(len(P.elements), n))))
 
 
+# the most rows (DOT lines, JSON elements or edges) that one piece of a
+# ``hasse`` export holds, so that an export holds its poset and one piece
+_PIECE_ROWS = 250
+
+
+def _pieces(rows: Iterable[str], sep: str = "", lead: str = "") -> Iterator[str]:
+    """``lead + sep.join(rows)`` in pieces of at most ``_PIECE_ROWS`` rows,
+    each after the first starting with ``sep``; nothing if there are no rows."""
+    rows = iter(rows)
+    while chunk := list(itertools.islice(rows, _PIECE_ROWS)):
+        yield lead + sep.join(chunk)
+        lead = sep
+
+
+def _dot_pieces(P: WeakOrderPoset) -> Iterator[str]:
+    """The pieces of ``export_dot(P)``, each formatted when it is asked for."""
+    num = _numerals(P)
+    yield (
+        "digraph {\n  rankdir=BT;\n"
+        f'  label="{_describe(P.family, P.param)}";\n  node [shape=plaintext];\n'
+    )
+    yield from _pieces(f'  {num[j]} [label="{t}"];\n' for j, t in enumerate(P.texts))
+    yield from _pieces(
+        f'  {num[lo]} -> {num[hi]} [label="'
+        f'{num[labels[0]] if len(labels) == 1 else ",".join(map(str, labels))}"'
+        f'{", style=bold" if types.count(_II) == len(types) else ""}];\n'
+        for lo, hi, labels, types in P.edges
+    )
+    yield "}\n"
+
+
 def export_dot(P: WeakOrderPoset) -> str:
     """Graphviz text for the Hasse diagram, deterministic byte for byte.
 
     Nodes are numbered in (rank, text) order and labeled with the canonical
     text, read from ``P.texts``; each cover is one edge labeled by its
-    comma-joined label set, with attach edges (type II) drawn bold.
+    comma-joined label set, with attach edges (type II) drawn bold.  The
+    text is the pieces that ``hasse`` writes one at a time, joined.
     """
-    num = _numerals(P)
-    lines = [
-        "digraph {",
-        "  rankdir=BT;",
-        f'  label="{_describe(P.family, P.param)}";',
-        "  node [shape=plaintext];",
-    ]
-    lines += [f'  {num[j]} [label="{t}"];' for j, t in enumerate(P.texts)]
-    lines += [
-        f'  {num[lo]} -> {num[hi]} [label="'
-        f'{num[labels[0]] if len(labels) == 1 else ",".join(map(str, labels))}"'
-        f'{", style=bold" if types.count(_II) == len(types) else ""}];'
-        for lo, hi, labels, types in P.edges
-    ]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "".join(_dot_pieces(P))
 
 
 def _array(rows: "list[str]", pad: str) -> str:
     """Encoded rows as the JSON array ``json.dumps(..., indent=2)`` lays out
     with its closing bracket indented by ``pad``."""
     return "[\n" + ",\n".join(rows) + "\n" + pad + "]" if rows else "[]"
+
+
+def _array_pieces(rows: Iterable[str], pad: str) -> Iterator[str]:
+    """``_array(list(rows), pad)`` in pieces of at most ``_PIECE_ROWS`` rows."""
+    end = "[]"
+    for piece in _pieces(rows, ",\n", "[\n"):
+        yield piece
+        end = "\n" + pad + "]"
+    yield end
 
 
 # the separators inside an edge's "labels" and "types" arrays
@@ -171,6 +198,41 @@ _TYPE_SEP = '",\n        "'
 _VALUE = attrgetter("_value_")
 
 
+def _json_pieces(P: WeakOrderPoset) -> Iterator[str]:
+    """The pieces of ``export_json(P)``, each formatted when it is asked for."""
+    num = _numerals(P)
+    params = [f"    {json.dumps(k)}: {v}" for k, v in _named(P.family, P.param).items()]
+    yield (
+        f'{{\n  "family": {json.dumps(P.family)},\n'
+        f'  "params": {{\n' + ",\n".join(params) + '\n  },\n  "elements": '
+    )
+    yield from _array_pieces(
+        (
+            f'    {{\n      "id": {num[j]},\n      "text": {text},\n      "rank": {r}\n    }}'
+            for j, (text, r) in enumerate(zip(map(_quote, P.texts), P.ranks))
+        ),
+        "  ",
+    )
+    yield ',\n  "edges": '
+    yield from _array_pieces(
+        (
+            f'    {{\n      "lo": {num[lo]},\n      "hi": {num[hi]},\n      "labels": [\n        '
+            f'{num[labels[0]] if len(labels) == 1 else _LABEL_SEP.join(map(str, labels))}'
+            f'\n      ],\n      "types": [\n        "'
+            f'{types[0]._value_ if len(types) == 1 else _TYPE_SEP.join(map(_VALUE, types))}'
+            f'"\n      ]\n    }}'
+            if labels and types
+            else f'    {{\n      "lo": {lo},\n      "hi": {hi},\n'
+            f'      "labels": {_array([f"        {i}" for i in labels], "      ")},\n'
+            f'      "types": {_array([f"        {_quote(t.value)}" for t in types], "      ")}'
+            "\n    }"
+            for lo, hi, labels, types in P.edges
+        ),
+        "  ",
+    )
+    yield "\n}\n"
+
+
 def export_json(P: WeakOrderPoset) -> str:
     """JSON dump of the poset: elements with ids, texts and ranks, labeled edges.
 
@@ -178,33 +240,10 @@ def export_json(P: WeakOrderPoset) -> str:
     payload, written row by row: with ``indent`` set, ``json`` takes its
     pure-Python encoder, so only the texts, read from ``P.texts``, go
     through the C-backed string encoder.  An edge with labels is one
-    f-string of the numerals of ``_numerals`` and the types' values.
+    f-string of the numerals of ``_numerals`` and the types' values.  The
+    text is the pieces that ``hasse`` writes one at a time, joined.
     """
-    num = _numerals(P)
-    params = [f"    {json.dumps(k)}: {v}" for k, v in _named(P.family, P.param).items()]
-    elements = [
-        f'    {{\n      "id": {num[j]},\n      "text": {text},\n      "rank": {r}\n    }}'
-        for j, (text, r) in enumerate(zip(map(_quote, P.texts), P.ranks))
-    ]
-    edges = [
-        f'    {{\n      "lo": {num[lo]},\n      "hi": {num[hi]},\n      "labels": [\n        '
-        f'{num[labels[0]] if len(labels) == 1 else _LABEL_SEP.join(map(str, labels))}'
-        f'\n      ],\n      "types": [\n        "'
-        f'{types[0]._value_ if len(types) == 1 else _TYPE_SEP.join(map(_VALUE, types))}'
-        f'"\n      ]\n    }}'
-        if labels and types
-        else f'    {{\n      "lo": {lo},\n      "hi": {hi},\n'
-        f'      "labels": {_array([f"        {i}" for i in labels], "      ")},\n'
-        f'      "types": {_array([f"        {_quote(t.value)}" for t in types], "      ")}'
-        "\n    }"
-        for lo, hi, labels, types in P.edges
-    ]
-    return (
-        f'{{\n  "family": {json.dumps(P.family)},\n'
-        f'  "params": {{\n' + ",\n".join(params) + "\n  },\n"
-        f'  "elements": {_array(elements, "  ")},\n'
-        f'  "edges": {_array(edges, "  ")}\n}}\n'
-    )
+    return "".join(_json_pieces(P))
 
 
 def _flag_values(args: argparse.Namespace) -> list:
@@ -306,7 +345,9 @@ def _cmd_hasse(args: argparse.Namespace) -> int:
     param = _param_from_flags(args)
     _check_size(args.family, param, args.max_elements)
     P = build_poset(args.family, param)
-    sys.stdout.write(export_json(P) if args.json else export_dot(P))
+    # each piece written as it is made, so that no copy of the whole text is held
+    for piece in (_json_pieces if args.json else _dot_pieces)(P):
+        sys.stdout.write(piece)
     return 0
 
 

@@ -324,8 +324,10 @@ def _assemble(
     merged into one ``Edge``, so the edges come out sorted by (lo, hi) with
     no global sort.  The labels of an edge all come from one word's moves,
     which the move loops list by ascending label, so they need no sort
-    either.  Callers pass the closure inline, so that it is freed here,
-    before ``_gc_paused`` restores the collector."""
+    either.  Every one-label edge with label i shares one ``(i,)`` labels
+    tuple, and every one of type t one ``(t,)`` types tuple, so a poset
+    holds no two equal one-label tuples.  Callers pass the closure inline,
+    so that it is freed here, before ``_gc_paused`` restores the collector."""
     fam = _FAMILY[family]
     elements = list(map(fam.element, words))
     texts = [x.text() for x in elements]
@@ -343,6 +345,9 @@ def _assemble(
         steps = ups
     edges = []
     make = tuple.__new__  # as Edge._make does, without its Python frame
+    # one (i,) and one (t,) for every one-label edge, not two new tuples each
+    one_label = [(i,) for i in range(len(words[0]))]
+    one_type = {t: (t,) for t in CoverType}
     for lo, k in enumerate(order):
         got = steps[k]
         kinds = _cover_types(fam.forbidden, words[k], got)
@@ -353,7 +358,7 @@ def _assemble(
                 labels, types = merged[hi]
                 merged[hi] = (labels + (i,), types + (t,))
             else:
-                merged[hi] = ((i,), (t,))
+                merged[hi] = (one_label[i], one_type[t])
         for hi in sorted(merged):
             labels, types = merged[hi]
             edges.append(make(Edge, (lo, hi, labels, types)))

@@ -21,6 +21,7 @@ from weakorder import (
     build_poset,
     wset_direct,
 )
+import weakorder.cli
 from weakorder.cli import export_dot, export_json, parse_element, run
 
 _CLANS_UP_TO_6 = [(p, total - p) for total in range(2, 7) for p in range(1, total)]
@@ -245,6 +246,39 @@ def test_plain_listing_is_one_write(capsys, monkeypatch, argv) -> None:
     assert pipe.writes == [want]
     monkeypatch.setattr("sys.stdout", _Pipe(closed=True))
     assert run(argv) == 0
+
+
+def _rows(piece: str) -> int:
+    """The DOT node and edge lines, or the JSON elements and edges, in piece."""
+    return len(re.findall(r'^  \d+ (?:\[|->)|^      "(?:id|lo)": ', piece, re.M))
+
+
+@pytest.mark.parametrize("mode", ["dot", "json"])
+@pytest.mark.parametrize(
+    "family, param, size",
+    [("fpf", 8, ["--n", "8"]), ("clan", (3, 3), ["--p", "3", "--q", "3"])],
+    ids=["fpf-8", "clan-3-3"],
+)
+def test_hasse_writes_bounded_pieces(monkeypatch, family, param, size, mode) -> None:
+    """Every export arrives in more than one write, each of at most
+    ``_PIECE_ROWS`` rows, the writes joined are the export byte for byte,
+    and a closed pipe still exits 0."""
+    argv = ["hasse", "--family", family, *size] + (["--json"] if mode == "json" else [])
+    P = build_poset(family, param)
+    want = export_json(P) if mode == "json" else export_dot(P)
+    total = len(P.elements) + len(P.edges)
+    for limit in (weakorder.cli._PIECE_ROWS, 7):
+        monkeypatch.setattr(weakorder.cli, "_PIECE_ROWS", limit)
+        pipe = _Pipe(closed=False)
+        monkeypatch.setattr("sys.stdout", pipe)
+        assert run(argv) == 0
+        assert len(pipe.writes) > 1
+        assert "".join(pipe.writes) == want
+        rows = list(map(_rows, pipe.writes))
+        assert sum(rows) == total and max(rows) <= limit
+        monkeypatch.setattr("sys.stdout", _Pipe(closed=True))
+        assert run(argv) == 0
+    assert len(pipe.writes) >= total / 7
 
 
 class TestRunWset:

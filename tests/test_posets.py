@@ -365,6 +365,22 @@ class TestLayout:
         for x in P.elements:
             assert lower_interval(P, x).elements[-1] == x
 
+    @pytest.mark.parametrize("build", ["poset", "interval"])
+    def test_one_label_edges_share_their_tuples(self, build) -> None:
+        P = build_poset("fpf", 8)
+        if build == "interval":
+            P = build_lower_interval("fpf", P.elements[-1])
+        single = [e for e in P.edges if len(e.labels) == 1]
+        assert single and len(single) < len(P.edges)  # multi-label edges too
+        labels: dict[tuple, set[int]] = {}
+        types: dict[tuple, set[int]] = {}
+        for e in single:
+            labels.setdefault(e.labels, set()).add(id(e.labels))
+            types.setdefault(e.types, set()).add(id(e.types))
+        assert all(len(ids) == 1 for ids in labels.values()), "a label has two tuples"
+        assert all(len(ids) == 1 for ids in types.values()), "a cover type has two tuples"
+        assert len({id(e.labels) for e in single}) <= 8 - 1
+
     def test_edge_fields_and_tuple_api(self) -> None:
         assert weakorder.posets.Edge._fields == ("lo", "hi", "labels", "types")
         P = build_poset("involution", 4)
