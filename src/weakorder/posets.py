@@ -593,11 +593,14 @@ def _verify_job(family: str, param: int | tuple[int, int]) -> tuple[int, int, in
     up-moves, each checked for a forbidden cover kind (RuntimeError), with
     cyclic GC paused; checks each word's depth against its closed-form rank,
     its direct W-set against its chain products, and the closed-form count.
-    The walk gives a unique bottom and unit rank steps.  Agreeing products
-    pass every check of ``WSet``, so the oracle's is built only on a difference.
+    The walk gives a unique bottom and unit rank steps.  The products come
+    as byte words (a ``str`` above n = 255), so the direct words are encoded
+    by ``wsets._codec`` to be compared.  Agreeing products pass every check
+    of ``WSet``, so the oracle's is decoded and built only on a difference.
     """
     fam = _FAMILY[family]
     bottom = bottom_element(family, param).word
+    encode, decode, _ = wsets._codec(len(bottom))
 
     def moves(w: Word) -> Moves:
         got = fam.up(w)
@@ -616,7 +619,7 @@ def _verify_job(family: str, param: int | tuple[int, int]) -> tuple[int, int, in
             edges += len({v for _, v in got})
             if direct.rank != depth:
                 ranks.append((depth, x, direct.rank))
-            if products == set(direct.words):
+            if products == set(map(encode, direct.words)):
                 agree += 1
             else:
                 mismatches.append((depth, x, direct, products))
@@ -625,7 +628,7 @@ def _verify_job(family: str, param: int | tuple[int, int]) -> tuple[int, int, in
     if elements != count:
         bad.append(_COUNT(elements, count))
     for depth, x, direct, products in sorted(mismatches, key=by_rank):
-        oracle = wsets._collect(x, depth, products).words
+        oracle = wsets._collect(x, depth, map(decode, products)).words
         bad.append(
             f"W-set mismatch at {x.text()}: {_only(direct.words, oracle, 'direct')}, "
             f"{_only(oracle, direct.words, 'oracle')}"

@@ -28,6 +28,9 @@ checks each once, in one pass, and rejects a repeat; ``members`` builds the
 and the tests certify that each direct construction agrees with it.  The
 chain products are carried along the chains by ``_chain_products``, one
 ``permutations._sweep``, on words by ``posets._verify_job``, on indices here.
+It holds each product as a byte word (a ``str`` above n = 255, by
+``_codec``) and moves it by one ``translate``; a caller decodes only the
+products it reads out.
 
 >>> pi = Involution.from_cycles(4, [(1, 4), (2, 3)])
 >>> [w.as_text(compact=True) for w in wset_involution(pi).members]
@@ -359,20 +362,32 @@ def wset_clan(pi: Clan) -> WSet:
     return _collect(pi, rank_clan(pi), words)
 
 
-def _extend(nxt: dict, products: set[Word], moves: list) -> None:
-    """Spread a node's products to each node it moves to: s_i swaps values i, i+1."""
-    for i, v in moves:
-        target = nxt.setdefault(v, set())
-        for w in products:
-            u = list(w)
-            u[w.index(i)], u[w.index(i + 1)] = i + 1, i
-            target.add(tuple(u))
+def _codec(n: int) -> tuple[Callable, Callable, Callable]:
+    """How ``_chain_products`` holds a one-line word on 1..n: (encode,
+    decode, exchange), where ``exchange(i)`` is the ``translate`` table
+    that swaps the values i and i + 1.  A word is ``bytes`` while every
+    value fits a byte, above n = 255 a ``str`` of code points."""
+    if n <= 255:
+        return bytes, tuple, lambda i: bytes.maketrans(bytes((i, i + 1)), bytes((i + 1, i)))
+    encode = lambda w: "".join(map(chr, w))
+    return encode, lambda s: tuple(map(ord, s)), lambda i: {i: i + 1, i + 1: i}
 
 
 def _chain_products(start: Hashable, moves: Callable, n: int) -> Iterator[tuple]:
     """(node, depth, chain products, moves) of every node reached from
-    ``start``: ``permutations._sweep`` with the products spread."""
-    return _sweep(start, moves, {tuple(range(1, n + 1))}, _extend)
+    ``start``: ``permutations._sweep`` with the products spread, each held
+    as an encoded word of ``_codec(n)``; s_i swaps the values i and i + 1,
+    one ``translate`` by its table."""
+    encode, _, exchange = _codec(n)
+    tables = [None] + [exchange(i) for i in range(1, n)]
+
+    def extend(nxt: dict, products: set, moves: list) -> None:
+        for i, v in moves:
+            target, table = nxt.setdefault(v, set()), tables[i]
+            for w in products:
+                target.add(w.translate(table))
+
+    return _sweep(start, moves, {encode(range(1, n + 1))}, extend)
 
 
 def wset_oracle(P: WeakOrderPoset, x: Element) -> WSet:
@@ -382,7 +397,9 @@ def wset_oracle(P: WeakOrderPoset, x: Element) -> WSet:
     rank(x), which ``WSet`` checks, so no length filtering happens.  The
     sweep runs over P's indices, its moves read off ``P.up``, and stops at
     x; an x it does not reach, as in an edge-filtered copy, has no products.
+    Only x's products are decoded from the sweep's byte words.
     """
-    j, up = P.index_of(x), P.up
-    sweep = _chain_products(0, lambda k: [(i, e.hi) for e in up[k] for i in e.labels], P.bottom.n)
-    return _collect(x, P.ranks[j], next((got for k, _, got, _ in sweep if k == j), ()))
+    j, up, n = P.index_of(x), P.up, P.bottom.n
+    sweep = _chain_products(0, lambda k: [(i, e.hi) for e in up[k] for i in e.labels], n)
+    got = next((got for k, _, got, _ in sweep if k == j), ())
+    return _collect(x, P.ranks[j], map(_codec(n)[1], got))

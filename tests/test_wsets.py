@@ -462,6 +462,25 @@ class TestConditionFilters:
         assert members == 36_083
         assert peak < 2_000_000
 
+    def test_oracle_sweep_holds_byte_words(self) -> None:
+        # products are held as byte words; as tuples of ints the same sweep
+        # peaked at about 4.5 MB here, as byte words at about 2.7 MB
+        import tracemalloc
+
+        from weakorder.wsets import _chain_products
+
+        bottom = bottom_element("involution", 10).word
+        members = 0
+        tracemalloc.start()
+        try:
+            for _, _, products, _ in _chain_products(bottom, _FAMILY["involution"].up, 10):
+                members += len(products)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert members == 224_076
+        assert peak < 3_500_000
+
     def test_search_node_count_at_n8(self, monkeypatch) -> None:
         got = _count_nodes(monkeypatch, wset_involution, brute_involutions(8))
         assert got == {"nodes": 18_254, "dead": 0, "members": 6_300}
@@ -504,6 +523,17 @@ class TestOracleAgreement:
             for x in P.elements:
                 assert wset_direct(family, x).members == wset_oracle(P, x).members
 
+    def test_oracle_above_a_byte(self) -> None:
+        # values above 255 fit no byte: the products are held as str words
+        from weakorder import build_lower_interval
+
+        x = inv(300, (1, 2), (5, 7), (299, 300))
+        P = build_lower_interval("involution", x)
+        got = wset_oracle(P, x)
+        assert len(P) == 16
+        assert len(got) == 2
+        assert got.words == wset_direct("involution", x).words
+
     def test_oracle_matches_per_chain_products(self) -> None:
         for family, param in [("involution", 4), ("clan", (1, 2))]:
             P = build_poset(family, param)
@@ -524,19 +554,21 @@ class TestOracleAgreement:
     )
     def test_sweep_from_the_bottom_word_matches_the_built_poset(self, family, param) -> None:
         # what verify walks, with no poset built: each word once, at its
-        # rank, with the built poset's edges and chain products
+        # rank, with the built poset's edges and chain products, decoded
+        # from the sweep's encoding to one-line words
         from weakorder.posets import _FAMILY
-        from weakorder.wsets import _chain_products
+        from weakorder.wsets import _chain_products, _codec
 
         fam, P = _FAMILY[family], build_poset(family, param)
         bottom = P.bottom.word
+        decode = _codec(len(bottom))[1]
         words, edges = [], 0
         for w, depth, products, moves in _chain_products(bottom, fam.up, len(bottom)):
             x = fam.element(w)
             words.append(w)
             edges += len({v for _, v in moves})
             assert depth == P.rank_of(x)
-            assert sorted(products) == [m.word for m in wset_oracle(P, x).members]
+            assert sorted(map(decode, products)) == [m.word for m in wset_oracle(P, x).members]
         assert len(words) == len(set(words)) == len(P)
         assert set(words) == {x.word for x in P.elements}
         assert edges == len(P.edges)
